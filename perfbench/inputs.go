@@ -3,7 +3,10 @@ package main
 // Request generation. Every input is a pure function of the workload seed
 // (and, for the open loop, of --seconds, which sets the schedule length), so
 // the same seed offers the same requests and inputs.digest proves it. The
-// server only ever sees the scenario bodies and query strings made here.
+// set-up inputs (hot set and warm-up) are drawn from a fixed warm-up seed
+// instead, so every run sets up the same work and setup_s compares like with
+// like. The server only ever sees the scenario bodies and query strings made
+// here.
 
 import (
 	"crypto/sha256"
@@ -66,9 +69,13 @@ const (
 	// hypercubeRounds fixes kernel-hypercube's work per POST: 2 cells ×
 	// 4096 nodes × this many rounds, with no target and no patience.
 	hypercubeRounds = 400
-	// warmSeedBase separates warm-up graph seeds from measured ones, which
-	// are drawn at or above measuredSeedBase, so no warm-up family can
-	// turn a measured cold POST into a cache hit.
+	// closedWarmFamilies is a closed loop's warm-up: this many families on
+	// graph seeds drawn from the warm-up range, enough that no one graph's
+	// power iteration sets the set-up time.
+	closedWarmFamilies = 6
+	// warmSeedBase seeds the set-up draws and separates their graph seeds
+	// from measured ones, which are drawn at or above measuredSeedBase, so
+	// no set-up family can turn a measured cold POST into a cache hit.
 	warmSeedBase     = 1
 	measuredSeedBase = 1 << 40
 	// seedSpan is the width of each seed range; it keeps the warm-up range
@@ -214,12 +221,20 @@ func genKernelHypercube(seed int64, seconds int) inputs {
 	return genClosed(seed, seconds, hypercubeFamily)
 }
 
-// genClosed makes a closed loop's inputs: three fixed warm-up families and
-// a list of fresh ones, each from its own never-repeating seed.
+// warmDraws is the fixed source of every workload's set-up inputs.
+func warmDraws() (*rand.Rand, *seeds) {
+	rng := rand.New(rand.NewSource(warmSeedBase))
+	return rng, newSeeds(rng, warmSeedBase)
+}
+
+// genClosed makes a closed loop's inputs: a fixed warm-up of families on
+// drawn warm-up seeds and a list of fresh ones, each from its own
+// never-repeating seed.
 func genClosed(seed int64, seconds int, fam func(int64) []byte) inputs {
 	var in inputs
-	for i := range int64(3) {
-		in.Warm = append(in.Warm, request{Kind: kindCold, Body: fam(warmSeedBase + i)})
+	_, warmSeeds := warmDraws()
+	for range closedWarmFamilies {
+		in.Warm = append(in.Warm, request{Kind: kindCold, Body: fam(warmSeeds.next())})
 	}
 	sd := newSeeds(rand.New(rand.NewSource(seed)), measuredSeedBase)
 	for range closedLoopPerSecond * seconds {
@@ -236,32 +251,37 @@ var mixBlock = [20]kind{kindWrite, kindQuery, kindQuery,
 	kindHit, kindHit, kindHit, kindHit, kindHit, kindHit, kindHit, kindHit, kindHit,
 	kindHit, kindHit, kindHit, kindHit, kindHit, kindHit, kindHit, kindHit}
 
-// genServeMix makes serve-mix's inputs: the archived hot set, a fixed
-// warm-up, and a schedule at serveMixRate in mixBlock's proportions.
+// serveMixWarmBlocks is serve-mix's warm-up, in mixBlocks sent back to back:
+// long enough that one set-up spans a good part of a second, so a set-up
+// time averages the host's jitter instead of catching one instant of it.
+const serveMixWarmBlocks = 20
+
+// genServeMix makes serve-mix's inputs: the archived hot set and a warm-up,
+// both fixed, and a schedule at serveMixRate in mixBlock's proportions. The
+// hot families' runs stop at their target, so what archiving them costs
+// depends on their graphs and bursts; drawn from the workload seed, it made
+// set-up time a property of the seed.
 func genServeMix(seed int64, seconds int) inputs {
 	var in inputs
-	rng := rand.New(rand.NewSource(seed))
-	sd := newSeeds(rng, measuredSeedBase)
+	warmRng, warmSeeds := warmDraws()
 	for i := range hotFamilies {
-		in.Hot = append(in.Hot, hotFamily(i, sd.next(), 256+rng.Int63n(1024)))
+		in.Hot = append(in.Hot, hotFamily(i, warmSeeds.next(), 256+warmRng.Int63n(1024)))
 	}
-	warmRng := rand.New(rand.NewSource(warmSeedBase))
-	warmSeeds := newSeeds(warmRng, warmSeedBase)
-	for i := range 40 {
-		in.Warm = append(in.Warm, request{Kind: kindHit, Body: in.Hot[i%hotFamilies]})
-	}
-	for range 6 {
-		in.Warm = append(in.Warm, request{Kind: kindQuery, Query: archiveQuery(warmRng)})
-	}
-	for j := range 3 {
-		in.Warm = append(in.Warm, request{Kind: kindWrite, Body: writeFamily(j, warmRng, warmSeeds)})
-	}
+	in.Warm = appendMix(nil, serveMixWarmBlocks, in.Hot, warmRng, warmSeeds)
+	rng := rand.New(rand.NewSource(seed))
+	in.Reqs = appendMix(nil, (serveMixRate*seconds+len(mixBlock)-1)/len(mixBlock), in.Hot, rng, newSeeds(rng, measuredSeedBase))
+	return in
+}
+
+// appendMix appends blocks of mixBlock's traffic drawn from rng and sd,
+// each request due at its slot of the serveMixRate schedule.
+func appendMix(list []request, blocks int, hot [][]byte, rng *rand.Rand, sd *seeds) []request {
 	writes := 0
-	for len(in.Reqs) < serveMixRate*seconds {
+	for range blocks {
 		block := mixBlock
 		rng.Shuffle(len(block), func(i, j int) { block[i], block[j] = block[j], block[i] })
 		for _, k := range block {
-			r := request{Kind: k, At: time.Duration(len(in.Reqs)) * time.Second / serveMixRate}
+			r := request{Kind: k, At: time.Duration(len(list)) * time.Second / serveMixRate}
 			switch k {
 			case kindWrite:
 				r.Body = writeFamily(writes, rng, sd)
@@ -269,12 +289,12 @@ func genServeMix(seed int64, seconds int) inputs {
 			case kindQuery:
 				r.Query = archiveQuery(rng)
 			default:
-				r.Body = in.Hot[rng.Intn(hotFamilies)]
+				r.Body = hot[rng.Intn(len(hot))]
 			}
-			in.Reqs = append(in.Reqs, r)
+			list = append(list, r)
 		}
 	}
-	return in
+	return list
 }
 
 // digest hashes every generated input in order, so two runs can show they

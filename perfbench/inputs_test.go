@@ -20,6 +20,18 @@ func TestInputsDependOnlyOnTheSeed(t *testing.T) {
 	}
 }
 
+// TestSetUpIsTheSameForEverySeed pins that set-up does the same work under
+// every seed, so setup_s varies with the program and the host only.
+func TestSetUpIsTheSameForEverySeed(t *testing.T) {
+	for _, wl := range workloads {
+		a, b := wl.gen(1, 2), wl.gen(2, 2)
+		a.Reqs, b.Reqs = nil, nil
+		if a.digest() != b.digest() {
+			t.Errorf("%s: seeds 1 and 2 set up different inputs", wl.name)
+		}
+	}
+}
+
 // TestColdRequestsAreFresh pins what makes a cold request cold: no measured
 // family repeats, and none equals a warm-up or hot family the server has
 // already archived.

@@ -301,6 +301,35 @@ func closedLoop(reqs []request, deadline time.Time, clk clock, do func(request) 
 	return samples
 }
 
+// segments is how many parts the measured window is cut into. The host's
+// speed drifts over seconds, so set-ups run back to back all land in one
+// spell; run between the parts, they sample the whole run as the window's
+// time slices do.
+const segments = setupRepeats - 1
+
+// segmentLen is one segment's share of a window of the given seconds.
+func segmentLen(seconds int) time.Duration {
+	return time.Duration(seconds) * time.Second / segments
+}
+
+// segmented runs part(k) for each segment k, calling between after each. A
+// collection clears the heap before every part (as before every set-up), so
+// no timed phase pays for the garbage of the one before. wall is the time
+// spent in the parts.
+func segmented(between func() error, part func(k int)) (time.Duration, error) {
+	var wall time.Duration
+	for k := range segments {
+		runtime.GC()
+		start := time.Now()
+		part(k)
+		wall += time.Since(start)
+		if err := between(); err != nil {
+			return wall, err
+		}
+	}
+	return wall, nil
+}
+
 // setup boots a server over dir and brings it to the state the measured
 // window starts from: the hot set archived (two clients, as fast as the
 // server takes them) and the fixed warm-up sent. Any failure here is fatal.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +58,57 @@ func TestClosedLoopStopsAtDeadline(t *testing.T) {
 		if s.Latency != 30*time.Millisecond || s.Late != 0 || s.Req != i {
 			t.Errorf("sample %d = %+v", i, s)
 		}
+	}
+}
+
+func TestScheduleParts(t *testing.T) {
+	// 31 requests 100 ms apart cut at 500 ms: every part but the last holds
+	// five, and the last takes the remainder.
+	var reqs []request
+	for i := range 31 {
+		reqs = append(reqs, request{At: time.Duration(i) * 100 * time.Millisecond})
+	}
+	parts := scheduleParts(reqs, 500*time.Millisecond)
+	if len(parts) != segments {
+		t.Fatalf("%d parts, want %d", len(parts), segments)
+	}
+	next := 0
+	for k, p := range parts {
+		if p[0] != next {
+			t.Fatalf("part %d starts at %d, want %d", k, p[0], next)
+		}
+		for i := p[0]; i < p[1]; i++ {
+			at := reqs[i].At / (500 * time.Millisecond)
+			if int(at) != k && (k != segments-1 || int(at) < k) {
+				t.Errorf("request %d due at %v lies in part %d", i, reqs[i].At, k)
+			}
+		}
+		next = p[1]
+	}
+	if next != len(reqs) {
+		t.Errorf("parts cover %d of %d requests", next, len(reqs))
+	}
+}
+
+func TestSegmentedSetsUpAfterEveryPart(t *testing.T) {
+	var order []string
+	_, err := segmented(func() error {
+		order = append(order, "setup")
+		return nil
+	}, func(k int) { order = append(order, fmt.Sprint(k)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for k := range segments {
+		want = append(want, fmt.Sprint(k), "setup")
+	}
+	if strings.Join(order, " ") != strings.Join(want, " ") {
+		t.Errorf("order %v, want %v", order, want)
+	}
+	// Every set-up but the window's own runs between parts.
+	if segments != setupRepeats-1 {
+		t.Errorf("segments %d for %d set-ups", segments, setupRepeats)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"time"
 )
@@ -46,7 +47,8 @@ var workloads = []workload{
 
 const (
 	// setupRepeats: set-up runs this many times per run and setup_s is the
-	// median; the last server stays up for the measured window.
+	// median. The first set-up's server is the one the window measures; the
+	// others run between the window's segments (see segmented).
 	setupRepeats = 7
 	// readBacks is how many of a closed loop's first POSTs are followed by
 	// the read-your-write queries. A fixed count, not a share of the window,
@@ -184,21 +186,31 @@ type window struct {
 func measure(wl workload, in inputs, dir string, seconds int, traced bool) (*report, error) {
 	rep := &report{}
 	var setupS []float64
-	var srv *server
-	for k := range setupRepeats {
-		if srv != nil {
-			srv.close()
-		}
+	timedSetup := func() (*server, error) {
+		runtime.GC()
 		start := time.Now()
-		s, err := setup(filepath.Join(dir, fmt.Sprintf("setup%d", k)), in)
+		s, err := setup(filepath.Join(dir, fmt.Sprintf("setup%d", len(setupS))), in)
 		if err != nil {
 			return nil, err
 		}
 		setupS = append(setupS, time.Since(start).Seconds())
-		srv = s
+		return s, nil
+	}
+	srv, err := timedSetup()
+	if err != nil {
+		return nil, err
 	}
 	defer srv.close()
-	rep.note("setup_s samples: %v", setupS)
+	// between runs after each segment of the window: one more set-up, whose
+	// server is closed and whose archive is removed at once.
+	between := func() error {
+		s, err := timedSetup()
+		if err != nil {
+			return err
+		}
+		s.close()
+		return os.RemoveAll(s.dir)
+	}
 
 	cl := newClient(srv.base, 1)
 	defer cl.close()
@@ -210,14 +222,18 @@ func measure(wl workload, in inputs, dir string, seconds int, traced bool) (*rep
 	st0, tot0 := stealTicks()
 	var win window
 	if wl.open {
-		win = runOpen(srv, in)
+		win, err = runOpen(srv, in, seconds, between)
 	} else {
-		win = runClosed(srv, in, seconds)
+		win, err = runClosed(srv, in, seconds, between)
+	}
+	if err != nil {
+		return nil, err
 	}
 	cpu1 := processCPU()
 	st1, tot1 := stealTicks()
-	rep.note("host: window wall %.3fs, process cpu %.3fs, host steal %.4f of cpu time",
-		win.wall.Seconds(), (cpu1 - cpu0).Seconds(), safeDiv(st1-st0, tot1-tot0))
+	rep.note("setup_s samples: %v", setupS)
+	rep.note("host: window wall %.3fs in %d segments; over the window and its set-ups, process cpu %.3fs, host steal %.4f of cpu time",
+		win.wall.Seconds(), segments, (cpu1 - cpu0).Seconds(), safeDiv(st1-st0, tot1-tot0))
 	after, err := cl.scrape()
 	if err != nil {
 		return nil, err
@@ -310,32 +326,69 @@ func latencies(samples []sample, kinds ...kind) []float64 {
 
 // runClosed drives a closed loop with one client for the window, following
 // each of the first readBacks POSTs with the read-your-write queries.
-func runClosed(srv *server, in inputs, seconds int) window {
+func runClosed(srv *server, in inputs, seconds int, between func() error) (window, error) {
 	cl := newClient(srv.base, 1)
 	defer cl.close()
-	start := time.Now()
-	var queries []sample
-	samples := closedLoop(in.Reqs, start.Add(time.Duration(seconds)*time.Second), wallClock{}, cl.do,
-		func(i int, out outcome) {
-			if i >= readBacks || out.Err != nil {
-				return
-			}
-			for q, qs := range readBackQueries(out.Digest) {
-				due := time.Now()
-				res := cl.query(qs)
-				queries = append(queries, sample{Req: readBackID(len(in.Reqs), i, q), Kind: kindQuery, Due: due, Latency: time.Since(due), outcome: res})
-			}
-		})
-	return window{samples: append(samples, queries...), wall: time.Since(start)}
+	var samples, queries []sample
+	next := 0
+	wall, err := segmented(between, func(int) {
+		part := closedLoop(in.Reqs[next:], time.Now().Add(segmentLen(seconds)), wallClock{}, cl.do,
+			func(i int, out outcome) {
+				i += next
+				if i >= readBacks || out.Err != nil {
+					return
+				}
+				for q, qs := range readBackQueries(out.Digest) {
+					due := time.Now()
+					res := cl.query(qs)
+					queries = append(queries, sample{Req: readBackID(len(in.Reqs), i, q), Kind: kindQuery, Due: due, Latency: time.Since(due), outcome: res})
+				}
+			})
+		for j := range part {
+			part[j].Req += next
+		}
+		next += len(part)
+		samples = append(samples, part...)
+	})
+	return window{samples: append(samples, queries...), wall: wall}, err
 }
 
-// runOpen drives serve-mix's schedule from conns workers.
-func runOpen(srv *server, in inputs) window {
+// runOpen drives serve-mix's schedule from conns workers, one segment's
+// share of it at a time.
+func runOpen(srv *server, in inputs, seconds int, between func() error) (window, error) {
 	cl := newClient(srv.base, conns)
 	defer cl.close()
-	start := time.Now()
-	samples := openLoop(in.Reqs, conns, start, wallClock{}, cl.do)
-	return window{samples: samples, wall: time.Since(start)}
+	var samples []sample
+	seg := segmentLen(seconds)
+	parts := scheduleParts(in.Reqs, seg)
+	wall, err := segmented(between, func(k int) {
+		lo, hi := parts[k][0], parts[k][1]
+		// The part's schedule starts now: it holds the requests due from
+		// offset k·seg on.
+		part := openLoop(in.Reqs[lo:hi], conns, time.Now().Add(-time.Duration(k)*seg), wallClock{}, cl.do)
+		for j := range part {
+			part[j].Req += lo
+		}
+		samples = append(samples, part...)
+	})
+	return window{samples: samples, wall: wall}, err
+}
+
+// scheduleParts cuts a schedule, ordered by At, into segments index ranges:
+// part k holds the requests due in [k·seg, (k+1)·seg), and the last part
+// also everything due later.
+func scheduleParts(reqs []request, seg time.Duration) [][2]int {
+	parts := make([][2]int, segments)
+	lo := 0
+	for k := range parts {
+		hi := lo
+		for hi < len(reqs) && (k == segments-1 || reqs[hi].At < time.Duration(k+1)*seg) {
+			hi++
+		}
+		parts[k] = [2]int{lo, hi}
+		lo = hi
+	}
+	return parts
 }
 
 // writeSpans writes the traced replay's spans as JSON.

@@ -41,17 +41,16 @@ const (
 	stRequest     = "request"
 )
 
-// tracer records spans in memory. A tracer that is off records nothing, so
-// the same pipeline code runs traced and untraced.
+// tracer records spans in memory. A nil tracer records nothing, so the same
+// pipeline code runs traced and untraced.
 type tracer struct {
-	on     bool
 	origin time.Time
 	spans  []span
 }
 
-// begin opens a span and returns its ID (-1 when off).
+// begin opens a span and returns its ID (-1 on a nil tracer).
 func (t *tracer) begin(req, parent int, name string) int {
-	if t == nil || !t.on {
+	if t == nil {
 		return -1
 	}
 	id := len(t.spans)
@@ -241,7 +240,7 @@ type replayed struct {
 // both passes take the create path; hits and mix queries read src, the
 // server's archive as the window left it.
 func replaySet(dir string, src *archive.Store, items []item, origin time.Time) (*tracer, []replayed, error) {
-	tr := &tracer{on: true, origin: origin}
+	tr := &tracer{origin: origin}
 	srcIndex := archive.NewIndex(src)
 	if err := srcIndex.Refresh(); err != nil {
 		return nil, nil, err

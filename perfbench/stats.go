@@ -121,21 +121,22 @@ func slicedTail(xs []float64) (tail, int) {
 	return first, len(bounds)
 }
 
-// slicedRate is work per second: per slice, the work of its samples over
-// the time from the first one's due time to the last one's completion; the
-// median over slices is reported.
+// slicedRate is work per second of the program's own time: per slice, the
+// work of its samples over the sum of their latencies; the median over
+// slices is reported. Summing latencies rather than taking the slice's wall
+// span keeps the figure a property of the program on the open loop too,
+// where the span is set by the schedule: slower writes lower it there
+// exactly as they do on a closed loop.
 func slicedRate(samples []sample, work []float64) float64 {
 	var per []float64
 	for _, b := range sliceBounds(len(samples), minSliceMedian, maxSlices) {
 		var sum float64
-		start, end := samples[b[0]].Due, samples[b[0]].Due
+		var busy time.Duration
 		for i := b[0]; i < b[1]; i++ {
 			sum += work[i]
-			if done := samples[i].Due.Add(samples[i].Latency); done.After(end) {
-				end = done
-			}
+			busy += samples[i].Latency
 		}
-		per = append(per, safeDiv(sum, end.Sub(start).Seconds()))
+		per = append(per, safeDiv(sum, busy.Seconds()))
 	}
 	return median(per)
 }

@@ -239,4 +239,19 @@ func TestSlicedRate(t *testing.T) {
 	if got := slicedRate(samples, work); math.Abs(got-10000) > 1e-6 {
 		t.Errorf("slicedRate = %v, want 10000", got)
 	}
+	// The same requests sent open-loop once a second: the schedule's gaps
+	// are not the program's time, so the rate is unchanged ...
+	for i := range samples {
+		samples[i].Due = start.Add(time.Duration(i) * time.Second)
+	}
+	if got := slicedRate(samples, work); math.Abs(got-10000) > 1e-6 {
+		t.Errorf("open-loop slicedRate = %v, want 10000", got)
+	}
+	// ... and requests twice as slow on the same schedule halve it.
+	for i := range samples {
+		samples[i].Latency *= 2
+	}
+	if got := slicedRate(samples, work); math.Abs(got-5000) > 1e-6 {
+		t.Errorf("slower open-loop slicedRate = %v, want 5000", got)
+	}
 }
