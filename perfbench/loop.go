@@ -301,29 +301,33 @@ func closedLoop(reqs []request, deadline time.Time, clk clock, do func(request) 
 	return samples
 }
 
-// segments is how many parts the measured window is cut into. The host's
-// speed drifts over seconds, so set-ups run back to back all land in one
-// spell; run between the parts, they sample the whole run as the window's
-// time slices do.
-const segments = setupRepeats - 1
+// The measured window is cut into parts. The host's speed is probed after
+// every part (see hostspeed.go), so a time measured in a part is scaled by
+// the host's speed around it, and a set-up runs after every setupEvery-th
+// part, so the set-ups behind setup_s's median sample the whole run as the
+// window's time slices do rather than one spell of the host.
+const (
+	setupEvery = 3
+	parts      = (setupRepeats - 1) * setupEvery
+)
 
-// segmentLen is one segment's share of a window of the given seconds.
-func segmentLen(seconds int) time.Duration {
-	return time.Duration(seconds) * time.Second / segments
+// partLen is one part's share of a window of the given seconds.
+func partLen(seconds int) time.Duration {
+	return time.Duration(seconds) * time.Second / parts
 }
 
-// segmented runs part(k) for each segment k, calling between after each. A
-// collection clears the heap before every part (as before every set-up), so
-// no timed phase pays for the garbage of the one before. wall is the time
-// spent in the parts.
-func segmented(between func() error, part func(k int)) (time.Duration, error) {
+// setupAfter reports whether a set-up runs after part k.
+func setupAfter(k int) bool { return (k+1)%setupEvery == 0 }
+
+// segmented runs part(k) for each part k, calling between(k) after each.
+// wall is the time spent in the parts.
+func segmented(between func(k int) error, part func(k int)) (time.Duration, error) {
 	var wall time.Duration
-	for k := range segments {
-		runtime.GC()
+	for k := range parts {
 		start := time.Now()
 		part(k)
 		wall += time.Since(start)
-		if err := between(); err != nil {
+		if err := between(k); err != nil {
 			return wall, err
 		}
 	}

@@ -62,24 +62,24 @@ func TestClosedLoopStopsAtDeadline(t *testing.T) {
 }
 
 func TestScheduleParts(t *testing.T) {
-	// 31 requests 100 ms apart cut at 500 ms: every part but the last holds
+	// Requests 100 ms apart cut at 500 ms: every part but the last holds
 	// five, and the last takes the remainder.
 	var reqs []request
-	for i := range 31 {
+	for i := range 5*parts + 1 {
 		reqs = append(reqs, request{At: time.Duration(i) * 100 * time.Millisecond})
 	}
-	parts := scheduleParts(reqs, 500*time.Millisecond)
-	if len(parts) != segments {
-		t.Fatalf("%d parts, want %d", len(parts), segments)
+	cuts := scheduleParts(reqs, 500*time.Millisecond)
+	if len(cuts) != parts {
+		t.Fatalf("%d parts, want %d", len(cuts), parts)
 	}
 	next := 0
-	for k, p := range parts {
+	for k, p := range cuts {
 		if p[0] != next {
 			t.Fatalf("part %d starts at %d, want %d", k, p[0], next)
 		}
 		for i := p[0]; i < p[1]; i++ {
 			at := reqs[i].At / (500 * time.Millisecond)
-			if int(at) != k && (k != segments-1 || int(at) < k) {
+			if int(at) != k && (k != parts-1 || int(at) < k) {
 				t.Errorf("request %d due at %v lies in part %d", i, reqs[i].At, k)
 			}
 		}
@@ -90,25 +90,40 @@ func TestScheduleParts(t *testing.T) {
 	}
 }
 
-func TestSegmentedSetsUpAfterEveryPart(t *testing.T) {
+func TestSegmentedCallsBetweenAfterEveryPart(t *testing.T) {
 	var order []string
-	_, err := segmented(func() error {
-		order = append(order, "setup")
+	_, err := segmented(func(k int) error {
+		order = append(order, fmt.Sprint("between", k))
 		return nil
 	}, func(k int) { order = append(order, fmt.Sprint(k)) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []string
-	for k := range segments {
-		want = append(want, fmt.Sprint(k), "setup")
+	for k := range parts {
+		want = append(want, fmt.Sprint(k), fmt.Sprint("between", k))
 	}
 	if strings.Join(order, " ") != strings.Join(want, " ") {
 		t.Errorf("order %v, want %v", order, want)
 	}
-	// Every set-up but the window's own runs between parts.
-	if segments != setupRepeats-1 {
-		t.Errorf("segments %d for %d set-ups", segments, setupRepeats)
+}
+
+func TestSetUpsSpreadOverTheWindow(t *testing.T) {
+	// Every set-up but the window's own runs after a part, evenly spaced,
+	// the last after the last part.
+	var after []int
+	for k := range parts {
+		if setupAfter(k) {
+			after = append(after, k)
+		}
+	}
+	if len(after) != setupRepeats-1 || after[len(after)-1] != parts-1 {
+		t.Fatalf("set-ups after parts %v; want %d, the last after part %d", after, setupRepeats-1, parts-1)
+	}
+	for i := 1; i < len(after); i++ {
+		if after[i]-after[i-1] != setupEvery {
+			t.Errorf("set-ups after parts %v are not %d apart", after, setupEvery)
+		}
 	}
 }
 
@@ -121,7 +136,7 @@ func TestRunServeMix(t *testing.T) {
 	e2e := []string{"latency_p50_ms", "latency_tail_ms", "node_rounds_per_s", "query_latency_p50_ms",
 		"write_latency_p50_ms", "success_frac", "setup_s", "rss_peak_mb"}
 	perLayer := []string{"scenario.decode_ms", "spectral.gap_ms", "analysis.rounds_ms", "core.step_allocs",
-		"archive.get_result_ms", "archive.query_ms", "serve.residual_ms", "load.generator_late_ms", "trace.overhead_frac"}
+		"archive.query_ms", "serve.residual_ms", "load.achieved_rps", "trace.overhead_frac"}
 	for trace, names := range [][]string{e2e, perLayer} {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"-workload", "serve-mix", "-seed", "5", "-seconds", "1",

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"syscall"
 	"time"
 )
 
@@ -48,12 +49,18 @@ var workloads = []workload{
 const (
 	// setupRepeats: set-up runs this many times per run and setup_s is the
 	// median. The first set-up's server is the one the window measures; the
-	// others run between the window's segments (see segmented).
+	// others run between the window's parts (see setupAfter).
 	setupRepeats = 7
 	// readBacks is how many of a closed loop's first POSTs are followed by
 	// the read-your-write queries. A fixed count, not a share of the window,
 	// so the index those queries scan has the same size on every commit.
 	readBacks = 96
+	// rssAfter is how many of a closed loop's POSTs rss_peak_mb covers. The
+	// server keeps every finished run, so its memory grows with the number
+	// of POSTs, which a window of fixed length sets by the host's speed; a
+	// fixed count makes rss_peak_mb a figure of fixed work. The open loop's
+	// schedule is fixed already, so there it covers the whole window.
+	rssAfter = 48
 	// runLimit stops a run that has hung, well inside the 180 s a run may
 	// take.
 	runLimit = 170 * time.Second
@@ -176,24 +183,39 @@ func (r *report) note(format string, args ...any) {
 	r.notes = append(r.notes, fmt.Sprintf(format, args...))
 }
 
-// window is the measured window's outcome.
+// window is the measured window's outcome. rssMB is the peak RSS after
+// the closed loop's first rssAfter POSTs, 0 for the open loop.
 type window struct {
 	samples []sample
 	wall    time.Duration
+	rssMB   float64
 }
 
 // measure sets up, runs the window, checks, and — traced — replays.
 func measure(wl workload, in inputs, dir string, seconds int, traced bool) (*report, error) {
 	rep := &report{}
-	var setupS []float64
+	track, err := newHostTrack()
+	if err != nil {
+		return nil, err
+	}
+	defer track.close()
+	// Each set-up runs between two probes of the host (the one after it is
+	// the next part's) and is scaled, once the run is over, like a request
+	// that started when it did.
+	var setupRaw []float64
+	var setupAt []time.Time
 	timedSetup := func() (*server, error) {
-		runtime.GC()
+		settle()
+		if err := track.probe(); err != nil {
+			return nil, err
+		}
 		start := time.Now()
-		s, err := setup(filepath.Join(dir, fmt.Sprintf("setup%d", len(setupS))), in)
+		s, err := setup(filepath.Join(dir, fmt.Sprintf("setup%d", len(setupRaw))), in)
 		if err != nil {
 			return nil, err
 		}
-		setupS = append(setupS, time.Since(start).Seconds())
+		setupRaw = append(setupRaw, time.Since(start).Seconds())
+		setupAt = append(setupAt, start)
 		return s, nil
 	}
 	srv, err := timedSetup()
@@ -201,15 +223,21 @@ func measure(wl workload, in inputs, dir string, seconds int, traced bool) (*rep
 		return nil, err
 	}
 	defer srv.close()
-	// between runs after each segment of the window: one more set-up, whose
-	// server is closed and whose archive is removed at once.
-	between := func() error {
-		s, err := timedSetup()
-		if err != nil {
-			return err
+	// between runs after each part of the window: after every
+	// setupEvery-th part one more set-up, whose server is closed at once
+	// (its archive stays until the run ends: deleting files makes the
+	// file system slow for a while after), then a settle and a probe of the
+	// host.
+	between := func(k int) error {
+		if setupAfter(k) {
+			s, err := timedSetup()
+			if err != nil {
+				return err
+			}
+			s.close()
 		}
-		s.close()
-		return os.RemoveAll(s.dir)
+		settle()
+		return track.probe()
 	}
 
 	cl := newClient(srv.base, 1)
@@ -220,6 +248,10 @@ func measure(wl workload, in inputs, dir string, seconds int, traced bool) (*rep
 	}
 	cpu0 := processCPU()
 	st0, tot0 := stealTicks()
+	settle()
+	if err := track.probe(); err != nil {
+		return nil, err
+	}
 	var win window
 	if wl.open {
 		win, err = runOpen(srv, in, seconds, between)
@@ -231,17 +263,31 @@ func measure(wl workload, in inputs, dir string, seconds int, traced bool) (*rep
 	}
 	cpu1 := processCPU()
 	st1, tot1 := stealTicks()
-	rep.note("setup_s samples: %v", setupS)
-	rep.note("host: window wall %.3fs in %d segments; over the window and its set-ups, process cpu %.3fs, host steal %.4f of cpu time",
-		win.wall.Seconds(), segments, (cpu1 - cpu0).Seconds(), safeDiv(st1-st0, tot1-tot0))
+	var setupS []float64
+	for i, raw := range setupRaw {
+		setupS = append(setupS, raw*track.factor(refCompute, setupAt[i]))
+	}
+	rep.note("setup_s samples: scaled %.4g, raw %.4g", setupS, setupRaw)
+	rep.note("host: window wall %.3fs in %d parts; over the window and its set-ups, process cpu %.3fs, host steal %.4f of cpu time",
+		win.wall.Seconds(), parts, (cpu1 - cpu0).Seconds(), safeDiv(st1-st0, tot1-tot0))
+	for _, p := range []refPart{refCompute, refTrip} {
+		probes := sortedCopy(track.ms[p])
+		rep.note("host: %d probes of the reference %s, median %.4g ms (nominal %.4g ms), range %.4g-%.4g ms: %.3g",
+			len(probes), p, median(probes), refNominal[p], probes[0], probes[len(probes)-1], track.ms[p])
+	}
 	after, err := cl.scrape()
 	if err != nil {
 		return nil, err
 	}
-	rss, err := peakRSSMB()
+	rssEnd, err := peakRSSMB()
 	if err != nil {
 		return nil, err
 	}
+	rss := win.rssMB
+	if rss == 0 {
+		rss = rssEnd
+	}
+	rep.note("rss_peak_mb %.3f at its fixed point, %.3f at the window's end", rss, rssEnd)
 	for _, s := range win.samples {
 		rep.tally.add(s.Err, s.Mismatch)
 		if s.Err != nil && len(rep.problems) < 10 {
@@ -254,13 +300,16 @@ func measure(wl workload, in inputs, dir string, seconds int, traced bool) (*rep
 	}
 	rep.problems = append(rep.problems, problems...)
 
+	// The end-to-end figures come from latencies scaled to the nominal host
+	// speed; the raw ones are noted.
+	scaled := track.scaled(win.samples)
 	primary := wl.primary()
-	lat := latencies(win.samples, primary)
+	lat := latencies(scaled, primary)
 	tl, tailSlices := slicedTail(lat)
-	queries := latencies(win.samples, kindQuery)
+	queries := latencies(scaled, kindQuery)
 	var written []sample
 	var work []float64
-	for _, s := range win.samples {
+	for _, s := range scaled {
 		if s.Kind == kindCold || s.Kind == kindWrite {
 			written = append(written, s)
 			var n int64
@@ -276,6 +325,11 @@ func measure(wl workload, in inputs, dir string, seconds int, traced bool) (*rep
 	rep.note("latency_p50_ms over %d %s requests in %d slices; latency_tail_ms at p%.2f of each of %d slices of %d samples (%d beyond); whole window: p50 %.4g ms, tail %.4g ms",
 		len(lat), primary, len(sliceBounds(len(lat), minSliceMedian, maxSlices)), tl.Percentile, tailSlices, tl.N, tl.Beyond,
 		median(lat), tailOf(lat).Value)
+	rep.note("slice medians: latency_p50_ms %.4g; write_latency_p50_ms %.4g", sliceMedians(lat), sliceMedians(writes))
+	rawLat := latencies(win.samples, primary)
+	rawTail, _ := slicedTail(rawLat)
+	rep.note("raw, unscaled: latency_p50_ms %.4g, latency_tail_ms %.4g, query_latency_p50_ms %.4g, setup_s %.4g",
+		slicedMedian(rawLat), rawTail.Value, slicedMedian(latencies(win.samples, kindQuery)), median(setupRaw))
 	rep.note("failed_frac=%.6g (failed %d of %d attempted, %d correctness mismatches)",
 		rep.tally.failedFrac(), rep.tally.Failed, rep.tally.Attempted, rep.tally.Mismatched)
 	if wl.open {
@@ -307,6 +361,16 @@ func measure(wl workload, in inputs, dir string, seconds int, traced bool) (*rep
 	return rep, nil
 }
 
+// settle brings the process and the file system to the same state before
+// every timed phase: a collection, so no phase pays for the garbage of the
+// one before, and a sync, so none pays for writing back the files of the
+// one before. On this kind of host the same file creations take 30 ms right
+// after a sync and up to 180 ms while earlier writes are still pending.
+func settle() {
+	runtime.GC()
+	syscall.Sync()
+}
+
 // readBackID numbers the q-th read-back query after POST i of a list of n,
 // past the POSTs' own numbers.
 func readBackID(n, i, q int) int { return n + 2*i + q }
@@ -326,15 +390,19 @@ func latencies(samples []sample, kinds ...kind) []float64 {
 
 // runClosed drives a closed loop with one client for the window, following
 // each of the first readBacks POSTs with the read-your-write queries.
-func runClosed(srv *server, in inputs, seconds int, between func() error) (window, error) {
+func runClosed(srv *server, in inputs, seconds int, between func(int) error) (window, error) {
 	cl := newClient(srv.base, 1)
 	defer cl.close()
 	var samples, queries []sample
+	var rss float64
 	next := 0
 	wall, err := segmented(between, func(int) {
-		part := closedLoop(in.Reqs[next:], time.Now().Add(segmentLen(seconds)), wallClock{}, cl.do,
+		part := closedLoop(in.Reqs[next:], time.Now().Add(partLen(seconds)), wallClock{}, cl.do,
 			func(i int, out outcome) {
 				i += next
+				if i == rssAfter-1 {
+					rss, _ = peakRSSMB()
+				}
 				if i >= readBacks || out.Err != nil {
 					return
 				}
@@ -350,19 +418,19 @@ func runClosed(srv *server, in inputs, seconds int, between func() error) (windo
 		next += len(part)
 		samples = append(samples, part...)
 	})
-	return window{samples: append(samples, queries...), wall: wall}, err
+	return window{samples: append(samples, queries...), wall: wall, rssMB: rss}, err
 }
 
-// runOpen drives serve-mix's schedule from conns workers, one segment's
-// share of it at a time.
-func runOpen(srv *server, in inputs, seconds int, between func() error) (window, error) {
+// runOpen drives serve-mix's schedule from conns workers, one part's share
+// of it at a time.
+func runOpen(srv *server, in inputs, seconds int, between func(int) error) (window, error) {
 	cl := newClient(srv.base, conns)
 	defer cl.close()
 	var samples []sample
-	seg := segmentLen(seconds)
-	parts := scheduleParts(in.Reqs, seg)
+	seg := partLen(seconds)
+	cuts := scheduleParts(in.Reqs, seg)
 	wall, err := segmented(between, func(k int) {
-		lo, hi := parts[k][0], parts[k][1]
+		lo, hi := cuts[k][0], cuts[k][1]
 		// The part's schedule starts now: it holds the requests due from
 		// offset k·seg on.
 		part := openLoop(in.Reqs[lo:hi], conns, time.Now().Add(-time.Duration(k)*seg), wallClock{}, cl.do)
@@ -374,21 +442,21 @@ func runOpen(srv *server, in inputs, seconds int, between func() error) (window,
 	return window{samples: samples, wall: wall}, err
 }
 
-// scheduleParts cuts a schedule, ordered by At, into segments index ranges:
+// scheduleParts cuts a schedule, ordered by At, into parts index ranges:
 // part k holds the requests due in [k·seg, (k+1)·seg), and the last part
 // also everything due later.
 func scheduleParts(reqs []request, seg time.Duration) [][2]int {
-	parts := make([][2]int, segments)
+	cuts := make([][2]int, parts)
 	lo := 0
-	for k := range parts {
+	for k := range cuts {
 		hi := lo
-		for hi < len(reqs) && (k == segments-1 || reqs[hi].At < time.Duration(k+1)*seg) {
+		for hi < len(reqs) && (k == parts-1 || reqs[hi].At < time.Duration(k+1)*seg) {
 			hi++
 		}
-		parts[k] = [2]int{lo, hi}
+		cuts[k] = [2]int{lo, hi}
 		lo = hi
 	}
-	return parts
+	return cuts
 }
 
 // writeSpans writes the traced replay's spans as JSON.

@@ -96,12 +96,15 @@ func sliceBounds(n, minPer, maxK int) [][2]int {
 }
 
 // slicedMedian is the median over slices of each slice's median.
-func slicedMedian(xs []float64) float64 {
+func slicedMedian(xs []float64) float64 { return median(sliceMedians(xs)) }
+
+// sliceMedians is each slice's median, in time order.
+func sliceMedians(xs []float64) []float64 {
 	var per []float64
 	for _, b := range sliceBounds(len(xs), minSliceMedian, maxSlices) {
 		per = append(per, median(xs[b[0]:b[1]]))
 	}
-	return median(per)
+	return per
 }
 
 // slicedTail applies the tail rule to each slice and reports the median

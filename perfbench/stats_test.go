@@ -255,3 +255,78 @@ func TestSlicedRate(t *testing.T) {
 		t.Errorf("slower open-loop slicedRate = %v, want 5000", got)
 	}
 }
+
+func TestHostFactor(t *testing.T) {
+	t0 := time.Unix(100, 0)
+	at := func(s int) time.Time { return t0.Add(time.Duration(s) * time.Second) }
+	// Computation probes one second apart read the nominal time, then twice
+	// it from the fourth on, with one stray reading of ten times it; the
+	// round trips read three times their nominal time throughout.
+	n, r := refNominal[refCompute], refNominal[refTrip]
+	h := &hostTrack{}
+	for i, ms := range []float64{n, n, n, 2 * n, 2 * n, 10 * n, 2 * n, 2 * n} {
+		h.at = append(h.at, at(i))
+		h.ms[refCompute] = append(h.ms[refCompute], ms)
+		h.ms[refTrip] = append(h.ms[refTrip], 3*r)
+	}
+	for _, c := range []struct {
+		t    time.Time
+		want float64
+	}{
+		{at(-1), 1},                   // before the first probe: the first two
+		{at(0), 1},                    // probe 0 at it, 1-2 after
+		{at(1).Add(500e6), 1},         // 0-1, 2-3: n n n 2n
+		{at(2).Add(500e6), 1.0 / 1.5}, // 1-2, 3-4: n n 2n 2n
+		{at(5).Add(500e6), 0.5},       // 4-5, 6-7: the stray reading is outvoted
+		{at(9), 0.5},                  // after the last: the last two
+	} {
+		if got := h.factor(refCompute, c.t); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("computation factor at %v = %v, want %v", c.t.Sub(t0), got, c.want)
+		}
+		if got := h.factor(refTrip, c.t); math.Abs(got-1.0/3) > 1e-12 {
+			t.Errorf("round-trip factor at %v = %v, want 1/3", c.t.Sub(t0), got)
+		}
+	}
+	// A cold POST that ran while the computation was slow by half is scaled
+	// back by it; a hit at the same time by the round trips.
+	in := []sample{{Kind: kindCold, Due: at(9), Latency: 30 * time.Millisecond}, {Kind: kindHit, Due: at(9), Latency: 3 * time.Millisecond}}
+	out := h.scaled(in)
+	if out[0].Latency != 15*time.Millisecond || out[1].Latency != time.Millisecond || in[0].Latency != 30*time.Millisecond {
+		t.Errorf("scaled %v and %v (input now %v), want 15ms, 1ms and the input untouched", out[0].Latency, out[1].Latency, in[0].Latency)
+	}
+	if f := (&hostTrack{}).factor(refCompute, t0); f != 1 {
+		t.Errorf("factor with no probes = %v, want 1", f)
+	}
+}
+
+func TestPartFor(t *testing.T) {
+	for k, want := range map[kind]refPart{kindCold: refCompute, kindWrite: refCompute, kindHit: refTrip, kindQuery: refTrip} {
+		if got := partFor(k); got != want {
+			t.Errorf("partFor(%v) = %v, want %v", k, got, want)
+		}
+	}
+}
+
+func TestReferenceWorkIsFixed(t *testing.T) {
+	// The reference must do the same work on every call: the token total
+	// is conserved and the vector stays normalised.
+	r := newRefWork(1)
+	var total int64
+	for _, x := range r.x {
+		total += x
+	}
+	for range 3 {
+		r.run()
+		var got int64
+		for _, x := range r.x {
+			got += x
+		}
+		var norm float64
+		for _, v := range r.v {
+			norm += v * v
+		}
+		if got != total || math.Abs(norm-1) > 1e-9 {
+			t.Fatalf("after a run: tokens %d (want %d), norm² %v (want 1)", got, total, norm)
+		}
+	}
+}
