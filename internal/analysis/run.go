@@ -1,8 +1,8 @@
 // Package analysis is the experiment harness: it runs (graph, algorithm,
 // workload) triples to the paper's time horizon T = O(log(Kn)/µ) with
 // early-stop detection, collects discrepancy metrics and audit results, and
-// regenerates Table 1 and the per-theorem experiments E1–E10 of DESIGN.md as
-// text tables.
+// regenerates Table 1 and the per-theorem experiments E1–E10
+// (AllExperiments) as text tables.
 package analysis
 
 import (
@@ -22,19 +22,18 @@ type RunSpec struct {
 	Balancing *graph.Balancing
 	// Algorithm is the balancer under test.
 	Algorithm core.Balancer
-	// Model, when non-nil, selects the model-agnostic path: the run executes
-	// a model built by Model.New(Initial, Workers) — a population-protocol
-	// machine, say — instead of a diffusion engine, and Metric maps its state
-	// to the scalar the harness tracks. Algorithm must be nil; Balancing is
-	// still required (it sizes the run and labels results). Model runs are
-	// static: Events, Topology, and Auditors (engine-typed) are rejected
-	// through RunResult.Err.
+	// Model, when non-nil, replaces the diffusion engine: the run executes a
+	// model built by Model.New(Initial, Workers) — a population-protocol
+	// machine, say — through the same round loop. Algorithm must be nil and
+	// Metric set; Balancing is still required (it sizes the run and labels
+	// results). Events and Topology need the model to implement
+	// core.Injector and core.Faultable; Auditors are engine-typed. A spec
+	// asking for what its model lacks fails through RunResult.Err.
 	Model core.ModelBuilder
-	// Metric maps model state to the scalar convergence measure (required
-	// with Model; ignored on diffusion runs, which always measure the load
-	// discrepancy). TargetDiscrepancy, Patience, and the Series/Snapshot
-	// discrepancy fields all read this metric's value on model runs, so
-	// time-to-target generalizes to time-to-consensus.
+	// Metric maps the state to the scalar convergence measure (required with
+	// Model; nil means the load discrepancy max − min). TargetDiscrepancy,
+	// Patience, and the Series/Snapshot discrepancy fields all read this
+	// metric's value, so time-to-target generalizes to time-to-consensus.
 	Metric core.Metric
 	// Initial is x₁ (not mutated).
 	Initial []int64
@@ -63,14 +62,14 @@ type RunSpec struct {
 	TargetDiscrepancy *int64
 	// Events, when non-nil, injects load between rounds: after every
 	// completed round r (including r = 0, before the first) the schedule's
-	// delta is added to the load vector via Engine.ApplyDelta, and every
+	// delta is added to the state via core.Injector, and every
 	// nonzero injection is recorded as a Shock with its recovery metrics.
 	// Schedules are pure functions of (round, loads), so dynamic runs keep
 	// the engine's bit-identical-across-worker-counts guarantee.
 	Events workload.Schedule
 	// Topology, when non-nil, injects link/node fault events between rounds:
 	// after every completed round r (including r = 0, before the first) the
-	// schedule's delta is applied via Engine.ApplyTopologyDelta — before the
+	// schedule's delta is applied via core.Faultable — before the
 	// same round's workload injection, so the network changes first and load
 	// then arrives on the changed network — and every effective delta is
 	// recorded as a FaultEvent with its recovery metrics. Schedules are pure
@@ -79,7 +78,7 @@ type RunSpec struct {
 	// schedule makes the run dynamic: the discrepancy target defines
 	// per-fault recovery instead of stopping the run.
 	Topology topology.Schedule
-	// Workers selects engine parallelism (0/1 = serial).
+	// Workers selects engine or model parallelism (0/1 = serial).
 	Workers int
 	// Auditors are attached to the engine.
 	Auditors []core.Auditor
@@ -222,11 +221,11 @@ type RunResult struct {
 	// (Topology), in event order, each with its recovery metrics.
 	Faults []FaultEvent
 	// Metric names the convergence measure the scalar fields carry: "" for
-	// diffusion runs (plain load discrepancy, the historical encoding, kept
-	// implicit so existing consumers and archives are untouched) or the model
-	// metric's name (e.g. "unconverged", "tokens") for model runs, where
-	// InitialDiscrepancy, FinalDiscrepancy, MinDiscrepancy, and the Series
-	// values are values of that metric.
+	// the plain load discrepancy (the diffusion encoding, kept implicit so
+	// existing consumers and archives are untouched) or the spec Metric's
+	// name (e.g. "unconverged", "tokens"), in which case InitialDiscrepancy,
+	// FinalDiscrepancy, MinDiscrepancy, and the Series values are values of
+	// that metric.
 	Metric string
 	// Err is the first audit error, if any.
 	Err error
@@ -246,56 +245,94 @@ func Run(spec RunSpec) (res RunResult) {
 	return res
 }
 
-// prepareResult computes the engine-independent result fields (gap, K, the
-// paper's T, the horizon in force). ok is false when the spec is too broken
-// to build an engine from; res.Err carries the reason.
+// prepareResult computes the simulator-independent result fields — the
+// metric and its initial value, the horizon in force, and for diffusion
+// specs the gap µ and the paper's T. ok is false when the spec is too broken
+// to build a simulator from; res.Err carries the reason.
 func prepareResult(spec RunSpec) (res RunResult, ok bool) {
 	res = RunResult{TargetRound: -1}
-	if spec.Balancing == nil || spec.Algorithm == nil {
-		res.Err = fmt.Errorf("analysis: spec needs a balancing graph and an algorithm")
+	fail := func(format string, args ...any) (RunResult, bool) {
+		res.Err = fmt.Errorf(format, args...)
 		return res, false
 	}
-	mu := spectral.Gap(spec.Balancing)
-	k := core.Discrepancy(spec.Initial)
-	res.Gap = mu
-	res.InitialDiscrepancy = k
-	if mu > muZeroTol {
-		res.BalancingTime = spectral.BalancingTime(spec.Balancing.N(), int(k), mu)
+	if spec.Balancing == nil {
+		return fail("analysis: spec needs a balancing graph (it sizes the run and labels results)")
 	}
-	horizon := spec.MaxRounds
-	if horizon == 0 {
-		if mu <= muZeroTol {
+	var horizon int // the default horizon, before HorizonMultiple
+	if spec.Model != nil {
+		switch {
+		case spec.Algorithm != nil:
+			return fail("analysis: spec sets both Algorithm and Model; pick one")
+		case spec.Metric == nil:
+			return fail("analysis: model spec needs a Metric")
+		case len(spec.Auditors) > 0:
+			return fail("analysis: spec auditors are engine-typed; model invariants are audited inside the model")
+		}
+		horizon = spec.Model.DefaultHorizon(spec.Balancing.N())
+	} else {
+		if spec.Algorithm == nil {
+			return fail("analysis: spec needs an algorithm or a model")
+		}
+		mu := spectral.Gap(spec.Balancing)
+		k := core.Discrepancy(spec.Initial)
+		res.Gap = mu
+		res.InitialDiscrepancy = k
+		if mu > muZeroTol {
+			res.BalancingTime = spectral.BalancingTime(spec.Balancing.N(), int(k), mu)
+		} else if spec.MaxRounds == 0 {
 			// λ₂ = 1 up to the power iteration's numerical floor: the
 			// balancing graph is disconnected and the paper's horizon
-			// T = O(log(Kn)/µ) is undefined (the raw float would inflate T to
-			// ~10¹⁴ rounds). The former code ran a silent 1-round horizon and
-			// reported a near-untouched vector as a completed run.
-			res.Err = fmt.Errorf("analysis: balancing graph %q has spectral gap µ ≈ 0 (disconnected); T is undefined, set MaxRounds explicitly",
+			// T = O(log(Kn)/µ) is undefined (the raw float would inflate T
+			// to ~10¹⁴ rounds).
+			return fail("analysis: balancing graph %q has spectral gap µ ≈ 0 (disconnected); T is undefined, set MaxRounds explicitly",
 				spec.Balancing.Name())
-			return res, false
 		}
 		horizon = res.BalancingTime
+	}
+	if spec.Metric != nil {
+		res.Metric = spec.Metric.Name()
+		res.InitialDiscrepancy = spec.Metric.Measure(spec.Initial)
+	}
+	if spec.MaxRounds != 0 {
+		horizon = spec.MaxRounds
+	} else {
 		if m := spec.HorizonMultiple; m > 1 {
 			horizon *= m
 		}
-		if horizon == 0 {
-			horizon = 1
-		}
+		horizon = max(horizon, 1)
 	}
 	res.Horizon = horizon
 	return res, true
 }
 
-// runEngineContext drives an engine already holding the spec's initial
-// vector through the streaming round loop (see streamEngine), draining it to
-// completion. It is the sweep runner's entry point (engines reused across
-// specs via Engine.Reset), bit-identical to Run's fresh-engine path because
-// a reset engine is equivalent to a fresh one and the round loop is a pure
-// function of (spec, initial state). The context gives it round-granularity
+// newModel builds the simulator a prepared spec runs on, holding the spec's
+// initial vector: the spec's model, or a diffusion engine with the spec's
+// workers and auditors.
+func newModel(spec RunSpec) (core.Model, error) {
+	if spec.Model != nil {
+		return spec.Model.New(spec.Initial, spec.Workers)
+	}
+	opts := []core.Option{core.WithWorkers(spec.Workers)}
+	for _, a := range spec.Auditors {
+		opts = append(opts, core.WithAuditor(a))
+	}
+	eng, err := core.NewEngine(spec.Balancing, spec.Algorithm, spec.Initial, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return eng, nil
+}
+
+// runContext drives a model already holding the spec's initial vector
+// through the streaming round loop (see streamEngine), draining it to
+// completion. It is the sweep runner's entry point (models reused across
+// specs via Reset), bit-identical to Run's fresh-model path because a reset
+// model is equivalent to a fresh one and the round loop is a pure function
+// of (spec, initial state). The context gives it round-granularity
 // cancellation — the guarantee SweepContext and the serving layer's drain
 // are built on.
-func runEngineContext(ctx context.Context, spec RunSpec, eng *core.Engine, res RunResult) RunResult {
-	for range streamEngine(ctx, spec, eng, &res) {
+func runContext(ctx context.Context, spec RunSpec, m core.Model, res RunResult) RunResult {
+	for range streamEngine(ctx, spec, m, &res) {
 	}
 	return res
 }

@@ -17,9 +17,10 @@ type Round = int
 // extrema after a completed round, or immediately after a schedule injection
 // (Shock) between rounds.
 type Snapshot struct {
-	// Discrepancy is max − min load at this observation.
+	// Discrepancy is the tracked value at this observation: max − min load,
+	// or the spec's Metric when it sets one.
 	Discrepancy int64
-	// Max and Min are the load extrema behind the discrepancy.
+	// Max and Min are the state extrema at this observation.
 	Max int64
 	Min int64
 	// Shock marks an injection observation: the snapshot was taken right
@@ -41,12 +42,12 @@ type Snapshot struct {
 
 // Stream executes the spec as a lazy per-round sequence — the primitive the
 // whole harness is expressed over: Run is Stream drained to completion, and
-// the sweep runner drains the same core with a reused engine.
+// the sweep runner drains the same core with a reused model.
 //
 // The sequence yields the initial state under key 0, then one snapshot per
 // completed round (plus one per schedule injection, marked Shock), honoring
 // the spec's horizon, target, and patience exactly like Run. Breaking out of
-// the loop stops the run at that round and releases the engine; a canceled
+// the loop stops the run at that round and releases the model; a canceled
 // ctx stops it within one round. Each iteration of the returned sequence
 // re-executes the spec from the start.
 //
@@ -82,42 +83,18 @@ func StreamInto(ctx context.Context, spec RunSpec, res *RunResult) iter.Seq2[Rou
 				res.Err = fmt.Errorf("analysis: run panicked: %v", r)
 			}
 		}()
-		if spec.Model != nil {
-			r, ok := prepareModelResult(spec)
-			*res = r
-			if !ok {
-				return
-			}
-			m, err := spec.Model.New(spec.Initial, spec.Workers)
-			if err != nil {
-				res.Err = err
-				return
-			}
-			defer m.Close()
-			streamModel(ctx, spec, m, res)(func(round Round, snap Snapshot) bool {
-				inYield = true
-				ok := yield(round, snap)
-				inYield = false
-				return ok
-			})
-			return
-		}
 		r, ok := prepareResult(spec)
 		*res = r
 		if !ok {
 			return
 		}
-		opts := []core.Option{core.WithWorkers(spec.Workers)}
-		for _, a := range spec.Auditors {
-			opts = append(opts, core.WithAuditor(a))
-		}
-		eng, err := core.NewEngine(spec.Balancing, spec.Algorithm, spec.Initial, opts...)
+		m, err := newModel(spec)
 		if err != nil {
 			res.Err = err
 			return
 		}
-		defer eng.Close()
-		streamEngine(ctx, spec, eng, res)(func(round Round, snap Snapshot) bool {
+		defer m.Close()
+		streamEngine(ctx, spec, m, res)(func(round Round, snap Snapshot) bool {
 			inYield = true
 			ok := yield(round, snap)
 			inYield = false
@@ -137,29 +114,52 @@ func (e *streamCanceledError) Error() string {
 
 func (e *streamCanceledError) Unwrap() error { return e.cause }
 
-// streamEngine drives an engine already holding the spec's initial vector
+// streamEngine drives a model already holding the spec's initial vector
 // through the round loop, yielding one snapshot per observation and folding
 // the full RunResult bookkeeping into res. It is the single round-loop
-// implementation: Run (fresh engine per call) and the sweep runner (engines
-// reused across specs via Engine.Reset) both drain it with a background
-// context, so their results are bit-identical to each other and to any
-// streaming consumer's bookkeeping.
+// implementation for every simulator — the diffusion engine and the protocol
+// machines alike: Run and every streaming consumer (fresh model per call) and
+// the sweep runner (models reused across specs via Reset) all drain it, so
+// their results are bit-identical to each other.
 //
-// With spec.Events set the loop becomes the dynamic-workload harness: before
-// each round the schedule's delta is injected through Engine.ApplyDelta and
-// recorded as a Shock, and the discrepancy target — instead of stopping the
-// run — defines when each shock has "recovered". All injections are pure
-// functions of (round, loads), so the dynamic trajectory inherits the
-// engine's bit-identical determinism across worker counts and across the
-// Run/Sweep/Stream entry points.
-func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunResult) iter.Seq2[Round, Snapshot] {
+// Each observation's value is spec.Metric's measure of the state, or the
+// load discrepancy max − min when the spec sets no Metric. With spec.Events
+// set the loop becomes the dynamic-workload harness: before each round the
+// schedule's delta is injected through the model's core.Injector capability
+// and recorded as a Shock, and the target — instead of stopping the run —
+// defines when each shock has "recovered". spec.Topology does the same for
+// fault events through core.Faultable. A spec whose schedules need a
+// capability the model lacks fails through res.Err before round 0. All
+// injections are pure functions of (round, state), so dynamic trajectories
+// inherit the model's bit-identical determinism across worker counts and
+// across the Run/Sweep/Stream entry points.
+func streamEngine(ctx context.Context, spec RunSpec, m core.Model, res *RunResult) iter.Seq2[Round, Snapshot] {
 	return func(yield func(Round, Snapshot) bool) {
+		inj, injOK := m.(core.Injector)
+		flt, fltOK := m.(core.Faultable)
+		if spec.Events != nil && !injOK {
+			res.Err = fmt.Errorf("analysis: %T takes no workload schedules (it is not a core.Injector)", m)
+			return
+		}
+		if spec.Topology != nil && !fltOK {
+			res.Err = fmt.Errorf("analysis: %T takes no topology schedules (it is not a core.Faultable)", m)
+			return
+		}
+		// observe measures the current state: the extrema behind every
+		// snapshot, and the tracked value — the spec's metric, or the
+		// discrepancy straight from the extrema without a second pass.
+		observe := func() (val, lo, hi int64) {
+			lo, hi = core.Extrema(m.State())
+			if spec.Metric != nil {
+				return spec.Metric.Measure(m.State()), lo, hi
+			}
+			return hi - lo, lo, hi
+		}
 		target, targetSet := int64(0), false
 		if spec.TargetDiscrepancy != nil {
 			target, targetSet = *spec.TargetDiscrepancy, true
 		}
-		lo, hi := core.Extrema(eng.Loads())
-		disc := hi - lo
+		disc, lo, hi := observe()
 		best := disc
 		res.MinDiscrepancy = best
 		res.FinalDiscrepancy = disc
@@ -204,7 +204,7 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 		openFaultFrom := 0
 		var delta []int64
 		if spec.Events != nil {
-			delta = make([]int64, spec.Balancing.N())
+			delta = make([]int64, m.N())
 		}
 
 		closeShocks := func(round int) {
@@ -270,7 +270,7 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 			for i := range delta {
 				delta[i] = 0
 			}
-			if !spec.Events.DeltaInto(completed, eng.Loads(), delta) {
+			if !spec.Events.DeltaInto(completed, m.State(), delta) {
 				return true
 			}
 			var added, removed int64
@@ -284,13 +284,12 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 			if added == 0 && removed == 0 {
 				return true
 			}
-			if err := eng.ApplyDelta(delta); err != nil {
+			if err := inj.ApplyDelta(delta); err != nil {
 				// Unreachable by construction (delta has N entries), but a
 				// schedule bug must not pass silently.
 				panic(err)
 			}
-			ilo, ihi := core.Extrema(eng.Loads())
-			after := ihi - ilo
+			after, ilo, ihi := observe()
 			// Shocks can overlap: an injection while earlier shocks are still
 			// unrecovered is part of their observation window, so the
 			// post-injection spike counts toward their peaks too.
@@ -354,7 +353,7 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 			if !fire || tdelta.Empty() {
 				return true
 			}
-			ch, err := eng.ApplyTopologyDelta(tdelta)
+			ch, err := flt.ApplyTopologyDelta(tdelta)
 			if err != nil {
 				res.Err = fmt.Errorf("analysis: topology schedule at round %d: %w", completed, err)
 				finish(completed, lastDisc, lastLo, lastHi, lastSampled)
@@ -363,10 +362,9 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 			if !ch.Changed() {
 				return true
 			}
-			flo, fhi := core.Extrema(eng.Loads())
-			fdisc := fhi - flo
-			_, comps := eng.Components()
-			eff := eng.EffectiveDiscrepancy()
+			fdisc, flo, fhi := observe()
+			_, comps := flt.Components()
+			eff := flt.EffectiveDiscrepancy()
 			// A redistribution (or the next fault of a flap) can spike the
 			// global discrepancy inside open shock windows too.
 			updatePeaks(fdisc)
@@ -377,10 +375,10 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 				FailedNodes: ch.FailedNodes, RestoredNodes: ch.RestoredNodes,
 				Stranded: ch.Stranded, Redistributed: ch.Redistributed,
 				Components:  comps,
-				Gap:         spectral.FaultedGap(spec.Balancing, eng.ArcAlive()),
+				Gap:         spectral.FaultedGap(spec.Balancing, flt.ArcAlive()),
 				Discrepancy: eff, PeakDiscrepancy: eff,
 				RecoveryRound: -1, RecoveryRounds: -1,
-				UnreachableLoad: eng.UnreachableLoad(),
+				UnreachableLoad: flt.UnreachableLoad(),
 			})
 			if fdisc < best {
 				best = fdisc
@@ -434,13 +432,12 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 				// inject already finalized at the post-injection state.
 				return
 			}
-			if err := eng.Step(); err != nil {
+			if err := m.Step(); err != nil {
 				// The failed round did execute (state is left advanced for
-				// debugging), so its discrepancy joins the bookkeeping like
-				// any other stopping round.
+				// debugging), so its value joins the bookkeeping like any
+				// other stopping round.
 				res.Err = err
-				slo, shi := core.Extrema(eng.Loads())
-				sdisc := shi - slo
+				sdisc, slo, shi := observe()
 				if sdisc < best {
 					best = sdisc
 				}
@@ -448,8 +445,7 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 				yield(round, Snapshot{Discrepancy: sdisc, Max: shi, Min: slo})
 				return
 			}
-			lo, hi := core.Extrema(eng.Loads())
-			disc := hi - lo
+			disc, lo, hi := observe()
 			sampled := false
 			if spec.SampleEvery > 0 && round%spec.SampleEvery == 0 {
 				res.Series = append(res.Series, Point{Round: round, Discrepancy: disc, Max: hi, Min: lo})
@@ -467,7 +463,7 @@ func streamEngine(ctx context.Context, spec RunSpec, eng *core.Engine, res *RunR
 			// discrepancy; computing it is only worth a components lookup
 			// while fault events are actually open.
 			if len(res.Faults) > openFaultFrom {
-				eff := eng.EffectiveDiscrepancy()
+				eff := flt.EffectiveDiscrepancy()
 				updateFaultPeaks(eff)
 				if targetSet && eff <= target {
 					closeFaults(round)

@@ -146,8 +146,8 @@ func SweepContext(ctx context.Context, specs []RunSpec, opt SweepOptions) []RunR
 
 // sweepKey identifies one reuse group: same balancing graph plus the same
 // algorithm instance (diffusion specs) or the same model builder (model
-// specs). Exactly one of algo/model is set, so the two families never share
-// a group.
+// specs). A valid spec sets exactly one of the two, so the two families never
+// share a group.
 type sweepKey struct {
 	b     *graph.Balancing
 	algo  core.Balancer
@@ -155,52 +155,35 @@ type sweepKey struct {
 }
 
 // groupKey returns the spec's reuse key. keyed is false when the spec cannot
-// be grouped — nil fields (the spec will fail in prepareResult), a spec
-// setting both Algorithm and Model (it will fail in prepareModelResult), or
-// an algorithm/builder of a non-comparable dynamic type, which cannot serve
-// as a map key; such specs each form their own single-spec group.
+// be grouped — a missing graph, neither or both of Algorithm and Model (the
+// spec will fail in prepareResult), or an algorithm/builder of a
+// non-comparable dynamic type, which cannot serve as a map key; such specs
+// each form their own single-spec group.
 func groupKey(spec RunSpec) (sweepKey, bool) {
-	if spec.Model != nil {
-		if spec.Balancing == nil || spec.Algorithm != nil {
-			return sweepKey{}, false
-		}
-		if t := reflect.TypeOf(spec.Model); !t.Comparable() {
-			return sweepKey{}, false
-		}
-		return sweepKey{b: spec.Balancing, model: spec.Model}, true
-	}
-	if spec.Balancing == nil || spec.Algorithm == nil {
+	key := sweepKey{b: spec.Balancing, algo: spec.Algorithm, model: spec.Model}
+	if key.b == nil || (key.algo == nil) == (key.model == nil) || !reflect.ValueOf(key).Comparable() {
 		return sweepKey{}, false
 	}
-	if t := reflect.TypeOf(spec.Algorithm); !t.Comparable() {
-		return sweepKey{}, false
-	}
-	return sweepKey{b: spec.Balancing, algo: spec.Algorithm}, true
+	return key, true
 }
 
 // sweepCache carries one group's reusable simulator — a diffusion engine or
 // a model — between compatible specs.
 type sweepCache struct {
-	eng        *core.Engine
-	engWorkers int
-	mdl        core.Model
-	mdlWorkers int
+	m       core.Model
+	workers int
 }
 
 // close releases whatever the cache holds; idempotent.
 func (c *sweepCache) close() {
-	if c.eng != nil {
-		c.eng.Close()
-		c.eng = nil
-	}
-	if c.mdl != nil {
-		c.mdl.Close()
-		c.mdl = nil
+	if c.m != nil {
+		c.m.Close()
+		c.m = nil
 	}
 }
 
 // runSweepGroup executes one group's specs in order, carrying a reusable
-// engine or model between compatible specs. A done context short-circuits
+// simulator between compatible specs. A done context short-circuits
 // the remaining specs into cancellation errors.
 func runSweepGroup(ctx context.Context, specs []RunSpec, indices []int, results []RunResult, prog *sweepProgress) {
 	var cache sweepCache
@@ -224,8 +207,8 @@ func runSweepGroup(ctx context.Context, specs []RunSpec, indices []int, results 
 	}
 }
 
-// runSweepSpec runs one spec, reusing the cached engine/model (resetting it
-// in place) when the spec is compatible with it, replacing it otherwise.
+// runSweepSpec runs one spec, reusing the cached simulator (resetting it in
+// place) when the spec is compatible with it, replacing it otherwise.
 // Panics — bind-time validation in balancers, hostile user implementations —
 // are converted to the spec's Err, and the cache is discarded since its
 // state is unknown after an unwound run.
@@ -237,31 +220,6 @@ func runSweepSpec(ctx context.Context, spec RunSpec, cache *sweepCache) (res Run
 		}
 	}()
 
-	if spec.Model != nil {
-		res, ok := prepareModelResult(spec)
-		if !ok {
-			return res
-		}
-		if cache.mdl != nil && cache.mdlWorkers == spec.Workers {
-			if err := cache.mdl.Reset(spec.Initial); err == nil {
-				return runModelContext(ctx, spec, cache.mdl, res)
-			}
-			// Reset declined (wrong vector length, illegal state encoding):
-			// fall through to a fresh model, which surfaces the real error.
-		}
-		if cache.mdl != nil {
-			cache.mdl.Close()
-			cache.mdl = nil
-		}
-		m, err := spec.Model.New(spec.Initial, spec.Workers)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		cache.mdl, cache.mdlWorkers = m, spec.Workers
-		return runModelContext(ctx, spec, m, res)
-	}
-
 	res, ok := prepareResult(spec)
 	if !ok {
 		return res
@@ -269,35 +227,29 @@ func runSweepSpec(ctx context.Context, spec RunSpec, cache *sweepCache) (res Run
 
 	// Auditors are per-run observers: never share an engine across them.
 	if len(spec.Auditors) > 0 {
-		opts := []core.Option{core.WithWorkers(spec.Workers)}
-		for _, a := range spec.Auditors {
-			opts = append(opts, core.WithAuditor(a))
-		}
-		e, err := core.NewEngine(spec.Balancing, spec.Algorithm, spec.Initial, opts...)
+		m, err := newModel(spec)
 		if err != nil {
 			res.Err = err
 			return res
 		}
-		defer e.Close()
-		return runEngineContext(ctx, spec, e, res)
+		defer m.Close()
+		return runContext(ctx, spec, m, res)
 	}
 
-	if cache.eng != nil && cache.engWorkers == spec.Workers {
-		if err := cache.eng.Reset(spec.Initial); err == nil {
-			return runEngineContext(ctx, spec, cache.eng, res)
+	if cache.m != nil && cache.workers == spec.Workers {
+		if err := cache.m.Reset(spec.Initial); err == nil {
+			return runContext(ctx, spec, cache.m, res)
 		}
-		// Reset declined (wrong vector length, unresettable bound state):
-		// fall through to a fresh engine, which surfaces any real error.
+		// Reset declined (wrong vector length, unresettable bound state,
+		// illegal state encoding): fall through to a fresh simulator, which
+		// surfaces any real error.
 	}
-	if cache.eng != nil {
-		cache.eng.Close()
-		cache.eng = nil
-	}
-	e, err := core.NewEngine(spec.Balancing, spec.Algorithm, spec.Initial, core.WithWorkers(spec.Workers))
+	cache.close()
+	m, err := newModel(spec)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	cache.eng, cache.engWorkers = e, spec.Workers
-	return runEngineContext(ctx, spec, e, res)
+	cache.m, cache.workers = m, spec.Workers
+	return runContext(ctx, spec, m, res)
 }

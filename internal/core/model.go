@@ -39,18 +39,48 @@ type Model interface {
 	// case the caller builds a fresh model.
 	Reset(x1 []int64) error
 
-	// ApplyDelta adds delta (one entry per node) to the current state — the
-	// dynamic-workload injection hook. Models whose state space has no
-	// meaningful addition (e.g. opinion encodings) return an error.
-	ApplyDelta(delta []int64) error
-
 	// Close releases the model's worker pool, if any; idempotent. The model
 	// must not Step after Close.
 	Close()
 }
 
-// The diffusion engine is the reference Model implementation.
-var _ Model = (*Engine)(nil)
+// Injector is the optional load-injection capability: a Model whose state
+// has a meaningful addition implements it to take workload schedules
+// (RunSpec.Events). Models without it — opinion or token encodings, where an
+// addition would manufacture or destroy votes — simply do not, and the
+// harness rejects schedules for them.
+type Injector interface {
+	// ApplyDelta adds delta (one entry per node) to the current state,
+	// between rounds, never during a Step.
+	ApplyDelta(delta []int64) error
+}
+
+// Faultable is the optional topology-fault capability: a Model running on a
+// balancing graph whose links and nodes can fail implements it to take
+// topology schedules (RunSpec.Topology) and report per-fault recovery.
+type Faultable interface {
+	// ApplyTopologyDelta applies one between-rounds fault delta and reports
+	// its effective changes.
+	ApplyTopologyDelta(delta TopologyDelta) (TopologyChange, error)
+	// Components labels the live components; count is their number.
+	Components() (labels []int32, count int)
+	// EffectiveDiscrepancy is the maximum per-component max − min state
+	// over live components — what fault recovery is judged on.
+	EffectiveDiscrepancy() int64
+	// ArcAlive is the per-arc alive mask, or nil while every arc is alive.
+	ArcAlive() []bool
+	// UnreachableLoad is the load excess no balancing can move off its
+	// component.
+	UnreachableLoad() int64
+}
+
+// The diffusion engine is the reference Model implementation and the one
+// that carries both optional capabilities.
+var (
+	_ Model     = (*Engine)(nil)
+	_ Injector  = (*Engine)(nil)
+	_ Faultable = (*Engine)(nil)
+)
 
 // ModelBuilder constructs Models from initial state vectors. Builders are the
 // unit of sweep grouping: specs sharing one comparable builder value reuse a
@@ -74,26 +104,17 @@ type ModelBuilder interface {
 }
 
 // Metric maps a model's flat state to the scalar convergence measure the
-// harness tracks: discrepancy for diffusion, unconverged-agent count for
-// majority dynamics, surviving-token count for Herman's protocol. Smaller is
-// always better; RunSpec.TargetDiscrepancy compares against this value, so
+// harness tracks: unconverged-agent count for majority dynamics,
+// surviving-token count for Herman's protocol. A run without a Metric tracks
+// the load discrepancy max − min, the diffusion measure. Smaller is always
+// better; RunSpec.TargetDiscrepancy compares against this value, so
 // time-to-target generalizes to time-to-consensus.
 type Metric interface {
 	// Name identifies the metric in results and serialized documents, e.g.
-	// "discrepancy", "unconverged", "tokens".
+	// "unconverged", "tokens".
 	Name() string
 
 	// Measure maps a state vector to the metric value. It must be a pure
 	// function of the vector.
 	Measure(state []int64) int64
 }
-
-// DiscrepancyMetric is the diffusion metric, max load − min load — the
-// measure every pre-model result already carries, expressed as a Metric.
-type DiscrepancyMetric struct{}
-
-// Name returns "discrepancy".
-func (DiscrepancyMetric) Name() string { return "discrepancy" }
-
-// Measure returns max(state) − min(state).
-func (DiscrepancyMetric) Measure(state []int64) int64 { return Discrepancy(state) }

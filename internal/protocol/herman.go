@@ -184,12 +184,6 @@ func (m *Herman) Reset(x1 []int64) error {
 	return nil
 }
 
-// ApplyDelta is unsupported: injecting tokens mid-run would break the parity
-// invariant the protocol's stabilization proof rests on.
-func (m *Herman) ApplyDelta(delta []int64) error {
-	return fmt.Errorf("protocol: herman has no load-injection semantics")
-}
-
 // Close releases the machine's kernel; idempotent.
 func (m *Herman) Close() { m.kern.Close() }
 

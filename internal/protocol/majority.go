@@ -177,12 +177,6 @@ func (m *Majority) Reset(x1 []int64) error {
 	return nil
 }
 
-// ApplyDelta is unsupported: adding to an opinion encoding has no protocol
-// meaning (it would silently manufacture or destroy votes).
-func (m *Majority) ApplyDelta(delta []int64) error {
-	return fmt.Errorf("protocol: majority has no load-injection semantics")
-}
-
 // Close is a no-op; the machine owns no worker pool.
 func (m *Majority) Close() {}
 

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"detlb/internal/core"
 )
 
 // opinions builds a ±2 vector with a strong-positive agents and n−a
@@ -125,13 +127,6 @@ func TestMajorityRejectsBadStates(t *testing.T) {
 	if _, err := mb.New(make([]int64, 4), 0); err == nil {
 		t.Fatal("wrong-length / zero-valued vector accepted")
 	}
-	m, err := mb.New(opinions(8, 5), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ApplyDelta(make([]int64, 8)); err == nil {
-		t.Fatal("ApplyDelta accepted on an opinion machine")
-	}
 }
 
 func TestMarginAuditorCatchesViolation(t *testing.T) {
@@ -245,8 +240,25 @@ func TestHermanRejectsIllegalConfigurations(t *testing.T) {
 	if err := m.Reset(tokenRing(16, 6)); err == nil {
 		t.Fatal("even token count accepted on Reset")
 	}
-	if err := m.ApplyDelta(make([]int64, 16)); err == nil {
-		t.Fatal("ApplyDelta accepted on a token machine")
+}
+
+// Neither protocol has a load-injection semantics — adding to an opinion or
+// token encoding would manufacture or destroy votes and break Herman's parity
+// invariant — so neither machine may offer the capability the harness uses
+// to apply workload schedules.
+func TestProtocolsAreNotInjectors(t *testing.T) {
+	maj, err := NewMajority(8, 1).New(opinions(8, 5), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	her, err := NewHerman(1).New(tokenRing(16, 5), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []core.Model{maj, her} {
+		if _, ok := m.(core.Injector); ok {
+			t.Errorf("%T implements core.Injector", m)
+		}
 	}
 }
 

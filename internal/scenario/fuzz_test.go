@@ -105,37 +105,34 @@ func fuzzAlgo(t *testing.T, text string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.IsModel() {
-		// Protocol kinds bind through BindModel; Bind must refuse them.
-		if s.Model != ModelProtocol {
-			t.Fatalf("model kind %q normalized without the %q tag: %#v", s.Kind, ModelProtocol, s)
-		}
-		if _, err := s.Bind(b); err == nil {
-			t.Fatalf("Bind accepted model kind %q", s.Kind)
-		}
-		m1, met1, err1 := s.BindModel(b)
-		m2, met2, err2 := rt.BindModel(b)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("bind divergence: %v vs %v", err1, err2)
-		}
-		if err1 != nil {
-			return
-		}
-		if m1.Name() != m2.Name() || met1.Name() != met2.Name() {
-			t.Fatalf("bound models differ: %s/%s vs %s/%s", m1.Name(), met1.Name(), m2.Name(), met2.Name())
-		}
-		return
-	}
-	if _, _, err := s.BindModel(b); err == nil {
-		t.Fatalf("BindModel accepted diffusion kind %q", s.Kind)
-	}
-	a1, err1 := s.Bind(b)
-	a2, err2 := rt.Bind(b)
+	sp1, err1 := s.bind(b)
+	sp2, err2 := rt.bind(b)
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("bind divergence: %v vs %v", err1, err2)
 	}
-	if err1 == nil && a1.Name() != a2.Name() {
-		t.Fatalf("bound algorithms differ: %s vs %s", a1.Name(), a2.Name())
+	if err1 != nil {
+		return
+	}
+	_, bindErr := s.Bind(b)
+	if sp1.Model != nil {
+		// Protocol kinds bind as models; Bind must refuse them.
+		if s.Model != ModelProtocol {
+			t.Fatalf("model kind %q normalized without the %q tag: %#v", s.Kind, ModelProtocol, s)
+		}
+		if bindErr == nil {
+			t.Fatalf("Bind accepted model kind %q", s.Kind)
+		}
+		if sp1.Model.Name() != sp2.Model.Name() || sp1.Metric.Name() != sp2.Metric.Name() {
+			t.Fatalf("bound models differ: %s/%s vs %s/%s",
+				sp1.Model.Name(), sp1.Metric.Name(), sp2.Model.Name(), sp2.Metric.Name())
+		}
+		return
+	}
+	if bindErr != nil {
+		t.Fatalf("Bind refused diffusion kind %q: %v", s.Kind, bindErr)
+	}
+	if sp1.Algorithm.Name() != sp2.Algorithm.Name() {
+		t.Fatalf("bound algorithms differ: %s vs %s", sp1.Algorithm.Name(), sp2.Algorithm.Name())
 	}
 }
 

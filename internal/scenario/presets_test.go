@@ -172,7 +172,7 @@ func TestMajorityVsRotorPreset(t *testing.T) {
 				i, cells[i].Algo.String(), res.FinalDiscrepancy, res.Rounds)
 		}
 		wantMetric := ""
-		if cells[i].Algo.IsModel() {
+		if specs[i].Model != nil {
 			wantMetric = "unconverged"
 		}
 		if res.Metric != wantMetric {

@@ -351,47 +351,36 @@ func normalizeAlgo(s AlgoSpec) (AlgoSpec, error) {
 	return s, nil
 }
 
-// IsModel reports whether the descriptor names a population-protocol model
-// kind (bound with BindModel) rather than a diffusion balancer (bound with
-// Bind).
-func (s AlgoSpec) IsModel() bool {
-	_, ok := protocolRegistry[s.Kind]
-	return ok
-}
-
 // Bind instantiates the balancer against the balancing graph b (matching
 // schedulers need the graph). Every call returns a fresh instance:
 // algorithms that keep per-run state on the instance (mimic, bounded-error,
-// matching) must not be shared across concurrently running engines.
-func (s AlgoSpec) Bind(b *graph.Balancing) (algo core.Balancer, err error) {
-	s, err = normalizeAlgo(s)
-	if err != nil {
-		return nil, err
+// matching) must not be shared across concurrently running engines. Protocol
+// kinds are models, not balancers; they bind through BindScenarios.
+func (s AlgoSpec) Bind(b *graph.Balancing) (core.Balancer, error) {
+	spec, err := s.bind(b)
+	if err == nil && spec.Model != nil {
+		err = fmt.Errorf("algorithm %s is a %s model, not a balancer", s.String(), ModelProtocol)
 	}
-	if s.IsModel() {
-		return nil, fmt.Errorf("algorithm %s is a %s model; bind it with BindModel", s.String(), ModelProtocol)
-	}
-	defer recoverTo(&err, "algorithm "+s.String())
-	return algoRegistry[s.Kind].build(s.Args, b), nil
+	return spec.Algorithm, err
 }
 
-// BindModel constructs the model builder and convergence metric a protocol
-// descriptor describes, sized against the balancing graph b. Builders are
-// stateless descriptors (models are instantiated per run by the harness), so
-// one bound builder may back every cell of a sweep — the identity
-// analysis.Sweep groups model specs on.
-func (s AlgoSpec) BindModel(b *graph.Balancing) (m core.ModelBuilder, metric core.Metric, err error) {
+// bind instantiates the descriptor against b as the simulator fields of a
+// RunSpec: Algorithm for a diffusion kind, or Model and Metric for a protocol
+// kind. Model builders are stateless descriptors (models are instantiated
+// per run by the harness), so one bound builder may back every cell of a
+// sweep — the identity analysis.Sweep groups model specs on.
+func (s AlgoSpec) bind(b *graph.Balancing) (spec analysis.RunSpec, err error) {
 	s, err = normalizeAlgo(s)
 	if err != nil {
-		return nil, nil, err
-	}
-	e, ok := protocolRegistry[s.Kind]
-	if !ok {
-		return nil, nil, fmt.Errorf("algorithm %s is not a %s model; bind it with Bind", s.String(), ModelProtocol)
+		return spec, err
 	}
 	defer recoverTo(&err, "algorithm "+s.String())
-	m, metric = e.build(s.Args, b)
-	return m, metric, nil
+	if s.Model == ModelProtocol {
+		spec.Model, spec.Metric = protocolRegistry[s.Kind].build(s.Args, b)
+	} else {
+		spec.Algorithm = algoRegistry[s.Kind].build(s.Args, b)
+	}
+	return spec, nil
 }
 
 // workloadEntry describes one initial-load generator.
@@ -762,13 +751,6 @@ func (s TopologySpec) Bind(n int) (topology.Schedule, error) {
 	}
 }
 
-// boundModel is one bound protocol descriptor: the builder shared across a
-// family's cells (the sweep's model grouping identity) plus its metric.
-type boundModel struct {
-	builder core.ModelBuilder
-	metric  core.Metric
-}
-
 // BindScenarios binds a list of scenario cells into RunSpecs, sharing one
 // balancing graph per distinct graph descriptor, one algorithm instance (or
 // model builder) per (graph, algorithm) descriptor pair, and one initial
@@ -778,8 +760,7 @@ type boundModel struct {
 func BindScenarios(cells []Scenario) ([]analysis.RunSpec, error) {
 	specs := make([]analysis.RunSpec, len(cells))
 	graphs := map[string]*graph.Balancing{}
-	algos := map[string]core.Balancer{}
-	models := map[string]boundModel{}
+	algos := map[string]analysis.RunSpec{}
 	loads := map[string][]int64{}
 	for i := range cells {
 		cell := cells[i]
@@ -797,33 +778,19 @@ func BindScenarios(cells []Scenario) ([]analysis.RunSpec, error) {
 			graphs[gKey] = b
 		}
 		aKey := gKey + "|" + cell.Algo.String()
-		var algo core.Balancer
-		var model boundModel
-		if cell.Algo.IsModel() {
-			if len(cell.Schedule) > 0 || len(cell.Topology) > 0 {
-				return nil, fmt.Errorf(
-					"algorithm %s is a %s model; workload and topology schedules only apply to diffusion runs",
-					cell.Algo.String(), ModelProtocol)
+		spec, ok := algos[aKey]
+		if !ok {
+			var err error
+			spec, err = cell.Algo.bind(b)
+			if err != nil {
+				return nil, err
 			}
-			model, ok = models[aKey]
-			if !ok {
-				var err error
-				model.builder, model.metric, err = cell.Algo.BindModel(b)
-				if err != nil {
-					return nil, err
-				}
-				models[aKey] = model
-			}
-		} else {
-			algo, ok = algos[aKey]
-			if !ok {
-				var err error
-				algo, err = cell.Algo.Bind(b)
-				if err != nil {
-					return nil, err
-				}
-				algos[aKey] = algo
-			}
+			algos[aKey] = spec
+		}
+		if spec.Model != nil && (len(cell.Schedule) > 0 || len(cell.Topology) > 0) {
+			return nil, fmt.Errorf(
+				"algorithm %s is a %s model; workload and topology schedules only apply to diffusion runs",
+				cell.Algo.String(), ModelProtocol)
 		}
 		wKey := gKey + "|" + cell.Workload.String()
 		x1, ok := loads[wKey]
@@ -843,20 +810,15 @@ func BindScenarios(cells []Scenario) ([]analysis.RunSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec := analysis.RunSpec{
-			Balancing:       b,
-			Algorithm:       algo,
-			Model:           model.builder,
-			Metric:          model.metric,
-			Initial:         x1,
-			MaxRounds:       cell.Run.Rounds,
-			HorizonMultiple: cell.Run.HorizonMultiple,
-			Patience:        cell.Run.Patience,
-			Workers:         cell.Run.Workers,
-			SampleEvery:     cell.Run.SampleEvery,
-			Events:          events,
-			Topology:        faults,
-		}
+		spec.Balancing = b
+		spec.Initial = x1
+		spec.MaxRounds = cell.Run.Rounds
+		spec.HorizonMultiple = cell.Run.HorizonMultiple
+		spec.Patience = cell.Run.Patience
+		spec.Workers = cell.Run.Workers
+		spec.SampleEvery = cell.Run.SampleEvery
+		spec.Events = events
+		spec.Topology = faults
 		if cell.Run.Target != nil {
 			spec.TargetDiscrepancy = analysis.Target(*cell.Run.Target)
 		}
