@@ -9,20 +9,36 @@ import (
 	"detlb/internal/analysis"
 	"detlb/internal/core"
 	"detlb/internal/graph"
-	"detlb/internal/specparse"
+	"detlb/internal/scenario"
 )
 
 // The spec mini-language lives in internal/scenario (shared with lbsweep and
 // the JSON scenario files); these wrappers keep the historical names of
 // lbsim's parsers, which the CLI now reaches through buildScenario.
 
-func parseGraph(spec string) (*graph.Graph, error) { return specparse.Graph(spec) }
-
-func parseAlgo(spec string, b *graph.Balancing) (core.Balancer, error) {
-	return specparse.Algo(spec, b)
+func parseGraph(spec string) (*graph.Graph, error) {
+	s, err := scenario.ParseGraph(spec)
+	if err != nil {
+		return nil, err
+	}
+	return s.BindGraph()
 }
 
-func parseWorkload(spec string, n int) ([]int64, error) { return specparse.Workload(spec, n) }
+func parseAlgo(spec string, b *graph.Balancing) (core.Balancer, error) {
+	s, err := scenario.ParseAlgo(spec)
+	if err != nil {
+		return nil, err
+	}
+	return s.Bind(b)
+}
+
+func parseWorkload(spec string, n int) ([]int64, error) {
+	s, err := scenario.ParseWorkload(spec)
+	if err != nil {
+		return nil, err
+	}
+	return s.Bind(n)
+}
 
 func TestParseGraphVariants(t *testing.T) {
 	cases := []struct {

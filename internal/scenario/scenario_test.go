@@ -142,6 +142,68 @@ func TestScheduleSpecRoundTripsThroughString(t *testing.T) {
 	}
 }
 
+// Schedules mirror topologies: parse errors for malformed text, bind errors
+// against the graph size for out-of-range nodes and descriptors that can
+// never fire, nil for the static spellings, and the concrete workload value
+// (a Compose for "+") for everything else.
+func TestScheduleBindValidation(t *testing.T) {
+	for _, spec := range []string{"burst:20,3", "quake:1,2,3", "burst:10,0,5+quake:1"} {
+		if _, err := ParseSchedule(spec); err == nil {
+			t.Errorf("schedule %q should fail to parse", spec)
+		}
+	}
+	for _, spec := range []string{
+		"burst:20,99,10", "periodic:5,-1,10", // node out of range
+		"churn:0,256", "periodic:0,1,10", "burst:-5,0,10", // can never fire
+		"drain:20,10,5", "drain:5,10,0", "refill:10,100,-5",
+		"burst:20,0,0", "periodic:5,1,0", "refill:10,0", // zero amounts
+	} {
+		s, err := ParseSchedule(spec)
+		if err != nil {
+			t.Fatalf("%q should parse (bind rejects it): %v", spec, err)
+		}
+		if _, err := s.Bind(16); err == nil {
+			t.Errorf("schedule %q should fail to bind on 16 nodes", spec)
+		}
+	}
+	bind := func(spec string) workload.Schedule {
+		t.Helper()
+		s, err := ParseSchedule(spec)
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		sched, err := s.Bind(16)
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		return sched
+	}
+	for _, spec := range []string{"", "none", "none+none"} {
+		if sched := bind(spec); sched != nil {
+			t.Errorf("%q should bind to a nil (static) schedule, got %#v", spec, sched)
+		}
+	}
+	for _, c := range []struct {
+		spec string
+		want workload.Schedule
+	}{
+		{"burst:20,3,4096", workload.Burst{Round: 20, Node: 3, Amount: 4096}},
+		{"churn:10,256", workload.Churn{Every: 10, Amount: 256, Seed: 1}},
+		{"refill:50,1024,25", workload.Refill{Round: 50, Amount: 1024, Every: 25}},
+	} {
+		if got := bind(c.spec); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%q bound to %#v, want %#v", c.spec, got, c.want)
+		}
+	}
+	c, ok := bind("burst:10,0,512+drain:20,40,2+periodic:30,5,64").(workload.Compose)
+	if !ok || len(c) != 3 {
+		t.Fatalf("composition bound to %#v", c)
+	}
+	if _, ok := c[1].(workload.Drain); !ok {
+		t.Fatalf("middle part = %#v", c[1])
+	}
+}
+
 func TestTopologyGrammar(t *testing.T) {
 	// Malformed numerics and excess arguments are parse errors, never
 	// defaults, matching every other descriptor domain.
