@@ -1,7 +1,7 @@
 package detlb_test
 
-// Benchmark harness: one benchmark per experiment in DESIGN.md's
-// per-experiment index (E1–E10 plus the matching-model extension), each
+// Benchmark harness: one benchmark per experiment of analysis.AllExperiments
+// (E1–E10 plus the matching-model extension), each
 // regenerating the corresponding table at full size, plus micro-benchmarks
 // for the hot paths (engine step, serial vs parallel, actor round, spectral
 // gap, graph sampling). Run:
@@ -9,8 +9,8 @@ package detlb_test
 //	go test -bench=. -benchmem
 //
 // The experiment benchmarks exist to time the reproduction pipeline and to
-// make every table reproducible from a single command; their tables are the
-// content of EXPERIMENTS.md.
+// make every table reproducible from a single command; their tables are what
+// cmd/lbbench prints.
 
 import (
 	"testing"

@@ -1,6 +1,6 @@
 // Command lbbench regenerates every experiment of the reproduction
-// (DESIGN.md's E1–E10 plus the matching-model extension) and prints the
-// result tables; EXPERIMENTS.md is assembled from its output.
+// (analysis.AllExperiments: E1–E10 plus the matching-model extension) and
+// prints the result tables.
 //
 // Usage:
 //

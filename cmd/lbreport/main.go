@@ -1,6 +1,5 @@
 // Command lbreport regenerates the complete experiment suite and writes it
-// as a single Markdown report — the machine-produced companion to
-// EXPERIMENTS.md (which adds the paper-vs-measured commentary).
+// as a single Markdown report — the cmd/lbbench tables in Markdown form.
 //
 // Usage:
 //

@@ -23,7 +23,8 @@
 //   - spectral utilities (eigenvalue gap µ, balancing time T = O(log(Kn)/µ)),
 //     with power-iteration results memoized per graph behind weak references;
 //   - the experiment harness regenerating the paper's Table 1 and one
-//     experiment per theorem (see DESIGN.md and EXPERIMENTS.md);
+//     experiment per theorem (analysis.AllExperiments, printed by
+//     cmd/lbbench);
 //   - a concurrent scenario-sweep subsystem (Sweep): spec families — graph ×
 //     balancer × initial-load grids, the shape of the paper's claims — fan
 //     out over a bounded runner pool with engines reused across runs of the

@@ -9,7 +9,7 @@ import (
 	"detlb/internal/workload"
 )
 
-// Ablations for the design choices DESIGN.md calls out: how many self-loops
+// Ablations for two design choices of the reproduction: how many self-loops
 // are actually needed (the paper's open question 1), and whether the
 // rotor-router's slot order matters.
 

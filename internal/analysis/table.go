@@ -7,7 +7,7 @@ import (
 )
 
 // Table is a minimal text table used for every experiment report, rendered
-// in a fixed-width layout that diffs cleanly in EXPERIMENTS.md.
+// in a fixed-width layout that diffs cleanly between cmd/lbbench runs.
 type Table struct {
 	Title  string
 	Note   string

@@ -481,7 +481,8 @@ func MatchingModel(cfg Config) *Table {
 	return t
 }
 
-// AllExperiments runs the complete suite in DESIGN.md order.
+// AllExperiments runs the complete suite: Table 1, the per-theorem
+// experiments E1–E10, the extensions, and the ablations, in that order.
 func AllExperiments(cfg Config) []*Table {
 	return []*Table{
 		Table1(cfg),

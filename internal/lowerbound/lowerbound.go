@@ -210,7 +210,7 @@ func RotorAlternatingInstance(g *graph.Graph, baseline int64) (*balancer.RotorRo
 // ≥ φ; that version gives the level-(φ−1) nodes a per-node flow spread of 2,
 // breaking the round-fairness the proof relies on, so the deviation is
 // instead tapered through level φ−1 (the two versions agree everywhere
-// else). See EXPERIMENTS.md E7.
+// else). Experiment E7 (analysis.Thm43, printed by cmd/lbbench) checks it.
 func flowValue(baseline int64, phi, bv, bw int) int64 {
 	if bv == bw {
 		return baseline
