@@ -1,10 +1,25 @@
+// Package specparse holds the schedule tests of the command-line spec
+// mini-language shared by lbsim and lbsweep. The parser lives in
+// internal/scenario; these tests run each spec through
+// scenario.ParseSchedule and Bind, the path the CLIs take.
 package specparse
 
 import (
 	"testing"
 
+	"detlb/internal/scenario"
 	"detlb/internal/workload"
 )
+
+// Schedule parses a schedule spec and binds it to an n-node graph; the
+// static spellings bind to a nil schedule.
+func Schedule(spec string, n int) (workload.Schedule, error) {
+	s, err := scenario.ParseSchedule(spec)
+	if err != nil {
+		return nil, err
+	}
+	return s.Bind(n)
+}
 
 func TestScheduleNone(t *testing.T) {
 	for _, spec := range []string{"", "none", "none+none"} {
