@@ -393,6 +393,10 @@ var (
 	// ErrArchiveMismatch marks a Put whose result bytes diverged from the
 	// archived ones — the bit-identical-replay regression signal.
 	ErrArchiveMismatch = archive.ErrMismatch
+	// ErrArchiveStale marks a Put whose result differs from an entry
+	// archived under an older result version — a migration, not a
+	// regression.
+	ErrArchiveStale = archive.ErrStale
 	// ErrArchiveCorrupt marks an entry whose on-disk documents fail to
 	// parse or contradict their digest.
 	ErrArchiveCorrupt = archive.ErrCorrupt

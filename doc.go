@@ -21,7 +21,7 @@
 //     Step performs zero steady-state allocations, and load trajectories are
 //     bit-identical for every worker count (see internal/core);
 //   - spectral utilities (eigenvalue gap µ, balancing time T = O(log(Kn)/µ)),
-//     with power-iteration results memoized per graph behind weak references;
+//     with Lanczos solver results memoized per graph behind weak references;
 //   - the experiment harness regenerating the paper's Table 1 and one
 //     experiment per theorem (analysis.AllExperiments, printed by
 //     cmd/lbbench);

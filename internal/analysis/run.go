@@ -91,10 +91,10 @@ type RunSpec struct {
 // request a target — including 0, perfect balance — inline.
 func Target(d int64) *int64 { return &d }
 
-// muZeroTol separates a genuine spectral gap from the power iteration's
-// numerical floor (~10⁻¹²–10⁻¹⁵ on a disconnected graph, where λ₂ = 1
-// exactly). The smallest real gap in this library's range is the long
-// cycle's Θ(1/n²), well above 10⁻¹⁰ for any simulable n.
+// muZeroTol separates a genuine spectral gap from the solver's round-off
+// on a disconnected graph, where λ₂ = 1 exactly and spectral.Gap returns 0
+// or a value within ~10⁻¹⁵ of it. The smallest real gap in this library's
+// range is the long cycle's Θ(1/n²), well above 10⁻¹⁰ for any simulable n.
 const muZeroTol = 1e-10
 
 // Point is one sample of the discrepancy trajectory.
@@ -280,7 +280,7 @@ func prepareResult(spec RunSpec) (res RunResult, ok bool) {
 		if mu > muZeroTol {
 			res.BalancingTime = spectral.BalancingTime(spec.Balancing.N(), int(k), mu)
 		} else if spec.MaxRounds == 0 {
-			// λ₂ = 1 up to the power iteration's numerical floor: the
+			// λ₂ = 1 up to the solver's round-off: the
 			// balancing graph is disconnected and the paper's horizon
 			// T = O(log(Kn)/µ) is undefined (the raw float would inflate T
 			// to ~10¹⁴ rounds).

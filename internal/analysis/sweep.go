@@ -66,7 +66,7 @@ func (p *sweepProgress) specDone() {
 //     share such an instance across specs with *different* balancing graphs
 //     in one sweep; give each spec its own instance.
 //   - The spectral gap is memoized per graph (see spectral.Gap), so a sweep
-//     over repeated graphs pays each power iteration once.
+//     over repeated graphs pays each Lanczos solve once.
 //
 // A panicking spec (e.g. a balancer that rejects the graph's configuration
 // at bind time) is reported through its RunResult.Err; the rest of the sweep

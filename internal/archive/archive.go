@@ -21,6 +21,7 @@ package archive
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -41,6 +42,11 @@ var (
 	// mismatch means the code changed behavior since the entry was archived
 	// — exactly what the archive exists to catch. Nothing is overwritten.
 	ErrMismatch = errors.New("archive: result differs from the archived run")
+	// ErrStale reports a Put whose result differs from an entry archived
+	// under an older ResultVersion: a deliberate numeric change (a new
+	// solver, say) moved the document, so the difference is a migration,
+	// not a regression. Nothing is overwritten.
+	ErrStale = errors.New("archive: entry recorded under an older result version")
 	// ErrCorrupt reports an entry whose stored bytes cannot be decoded —
 	// a truncated result.json, a scenario that no longer parses, or a
 	// document that contradicts its own digest. Unlike ErrMismatch this is
@@ -50,7 +56,8 @@ var (
 
 // PutOutcome classifies a successful Archive.Put: a new entry, or a
 // byte-identical re-execution of an existing one. Failure modes (mismatch,
-// I/O) are errors, distinguished with errors.Is(err, ErrMismatch).
+// stale entry, I/O) are errors, distinguished with errors.Is(err,
+// ErrMismatch) and errors.Is(err, ErrStale).
 type PutOutcome int
 
 const (
@@ -140,7 +147,9 @@ func validDigest(s string) bool {
 // fingerprint (scenario.Family.Fingerprint). An existing entry is never
 // overwritten: a byte-identical result verifies it, a differing result is
 // an error wrapping ErrMismatch — the regression signal, distinguishable
-// from plain I/O failure with errors.Is.
+// from plain I/O failure with errors.Is — unless the archived document is
+// this digest's result under an older version than resultJSON's, which
+// wraps ErrStale instead.
 func (a *Store) Put(digest string, scenarioJSON, resultJSON []byte) (PutOutcome, error) {
 	if !validDigest(digest) {
 		return 0, fmt.Errorf("archive: invalid digest %q", digest)
@@ -152,6 +161,10 @@ func (a *Store) Put(digest string, scenarioJSON, resultJSON []byte) (PutOutcome,
 		if bytes.Equal(existing, resultJSON) {
 			a.cacheMetaLocked(digest, scenarioJSON)
 			return PutVerified, nil
+		}
+		if old, cur := docVersion(existing, digest), docVersion(resultJSON, digest); old > 0 && old < cur {
+			return 0, fmt.Errorf("%w: %s is version %d, this run version %d",
+				ErrStale, digest[:12], old, cur)
 		}
 		return 0, fmt.Errorf(
 			"%w: %s — the code no longer reproduces the archived trajectory",
@@ -170,6 +183,19 @@ func (a *Store) Put(digest string, scenarioJSON, resultJSON []byte) (PutOutcome,
 	}
 	a.cacheMetaLocked(digest, scenarioJSON)
 	return PutCreated, nil
+}
+
+// docVersion returns the version of a result document for digest, or 0 when
+// the bytes are not one.
+func docVersion(resultJSON []byte, digest string) int {
+	var head struct {
+		Version int    `json:"version"`
+		Digest  string `json:"digest"`
+	}
+	if json.Unmarshal(resultJSON, &head) != nil || head.Digest != digest {
+		return 0
+	}
+	return head.Version
 }
 
 // cacheMetaLocked records a complete entry's listing metadata from its

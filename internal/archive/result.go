@@ -90,8 +90,12 @@ type ResultDoc struct {
 	Cells   []CellResult `json:"cells"`
 }
 
-// ResultVersion is the result document format version.
-const ResultVersion = 1
+// ResultVersion is the result document version. It moves whenever the
+// documents' bytes do for the same scenario, so Archive.Put can tell an
+// entry recorded by older code (ErrStale) from a regression (ErrMismatch).
+// Version 2: gaps come from the Lanczos solver instead of power iteration;
+// only the gap fields changed.
+const ResultVersion = 2
 
 // CellResultOf folds one cell's spec and result into its wire record. The
 // labels are the canonical descriptor columns (not Balancing.Name()), so

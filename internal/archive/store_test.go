@@ -61,6 +61,34 @@ func TestStorePutGetList(t *testing.T) {
 	}
 }
 
+// TestStorePutStaleVersion: an entry archived under an older result
+// version answers a differing Put with ErrStale, not ErrMismatch, and stays
+// as it is.
+func TestStorePutStaleVersion(t *testing.T) {
+	arch, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, canonical := archiveFixture(t)
+	old := []byte(fmt.Sprintf("{\"version\":%d,\"digest\":%q,\"cells\":[]}\n", ResultVersion-1, digest))
+	if _, err := arch.Put(digest, canonical, old); err != nil {
+		t.Fatal(err)
+	}
+	cur := []byte(fmt.Sprintf("{\"version\":%d,\"digest\":%q,\"cells\":[]}\n", ResultVersion, digest))
+	_, err = arch.Put(digest, canonical, cur)
+	if !errors.Is(err, ErrStale) || errors.Is(err, ErrMismatch) {
+		t.Fatalf("put over an older-version entry must wrap ErrStale only, got %v", err)
+	}
+	if _, got, err := arch.Get(digest); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("stale entry changed: %v %s", err, got)
+	}
+	// A document naming another digest is not this entry's newer version.
+	other := []byte(fmt.Sprintf("{\"version\":%d,\"digest\":\"%064d\",\"cells\":[]}\n", ResultVersion, 0))
+	if _, err := arch.Put(digest, canonical, other); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("foreign document must wrap ErrMismatch, got %v", err)
+	}
+}
+
 func TestStoreGetMissing(t *testing.T) {
 	arch, err := Open(t.TempDir())
 	if err != nil {

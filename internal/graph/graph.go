@@ -67,8 +67,9 @@ type Graph struct {
 	// nu2 is the analytically known second-largest eigenvalue of the
 	// normalized adjacency matrix A/d, when the family constructor can supply
 	// it (cycles, tori, hypercubes, ...). The spectral package prefers it
-	// over power iteration, which converges too slowly on poorly expanding
-	// graphs to be practical.
+	// over its Lanczos solver, which is exact to round-off but still costs
+	// matvecs and a reorthogonalised basis, more of both on poorly
+	// expanding graphs.
 	nu2    float64
 	hasNu2 bool
 }

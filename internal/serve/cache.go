@@ -50,8 +50,13 @@ const (
 )
 
 // Archive-state labels on run summaries (RunSummary.Archive): "created" and
-// "verified" come from Archive.Put; a cache hit is marked "hit".
-const archiveHit = "hit"
+// "verified" come from Archive.Put; a cache hit is marked "hit"; "stale"
+// marks a run whose entry was archived under an older result version
+// (archive.ErrStale) and was left as it is.
+const (
+	archiveHit   = "hit"
+	archiveStale = "stale"
+)
 
 // normalizeCacheMode folds the zero value to CacheOn and rejects anything
 // outside the mode set.

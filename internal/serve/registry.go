@@ -19,7 +19,8 @@ const (
 	StatusRunning RunStatus = "running"
 	// StatusDone: every cell executed (individual cells may still carry
 	// deterministic errors — see the result document) and, when archiving is
-	// enabled, the result was archived or verified against the archive.
+	// enabled, the result was archived or verified against the archive (or
+	// the archived entry predates the current result version: "stale").
 	StatusDone RunStatus = "done"
 	// StatusCanceled: the run's context was canceled (client DELETE or
 	// server drain) before it completed.
@@ -53,7 +54,7 @@ type run struct {
 	finished   time.Time
 	failures   int
 	errMsg     string
-	archive    string // "created" | "verified" | "hit" | "" (disabled or not archived)
+	archive    string // "created" | "verified" | "hit" | "stale" | "" (disabled or not archived)
 	resultJSON []byte
 	done       chan struct{}
 }

@@ -813,6 +813,15 @@ func (s *Server) execute(run *run) {
 			archived = "created"
 		case err == nil:
 			archived = "verified"
+		case errors.Is(err, archive.ErrStale):
+			// The entry predates the current result version: the run is
+			// good, the stored entry stays as it is, and no mismatch is
+			// counted. The index keeps describing the stored bytes.
+			run.finish(StatusDone, resultJSON, failures, archiveStale, "")
+			s.metrics.runsDone.Inc()
+			s.log.Printf("run %s done: %d cells, %d failures, archive stale: %v",
+				run.id, len(run.cells), failures, err)
+			return
 		case errors.Is(err, archive.ErrMismatch):
 			// Keep the divergent document: it is the evidence of the
 			// regression, served with 409 by the result endpoint.

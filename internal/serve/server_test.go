@@ -161,7 +161,7 @@ func TestRunLifecycleAndResult(t *testing.T) {
 	if err := json.Unmarshal(doc, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Version != 1 || res.Digest != sum.Digest || len(res.Cells) != 2 {
+	if res.Version != archive.ResultVersion || res.Digest != sum.Digest || len(res.Cells) != 2 {
 		t.Fatalf("result doc: version=%d digest=%s cells=%d", res.Version, res.Digest, len(res.Cells))
 	}
 	if res.Cells[1].Schedule != "burst:3,0,256" || len(res.Cells[1].Shocks) != 1 {
@@ -747,6 +747,51 @@ func TestArchiveMismatchFailsRun(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/runs/"+sum.ID, &got)
 	if got.Status != StatusFailed || !strings.Contains(got.Error, "differs from the archived run") {
 		t.Fatalf("mismatch summary: %+v", got)
+	}
+}
+
+// TestArchiveStaleEntryMigratesQuietly: an entry archived under an older
+// result version is not a regression. The re-run finishes done with
+// "archive":"stale", serves its own document, leaves the stored entry as it
+// is and counts no mismatch.
+func TestArchiveStaleEntryMigratesQuietly(t *testing.T) {
+	dir := t.TempDir()
+	fam := testFamily(t)
+	digest, canonical, err := fam.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A version-1 result.json, as older code archived it.
+	old := []byte(fmt.Sprintf("{\"version\":1,\"digest\":%q,\"cells\":[]}\n", digest))
+	arch, err := archive.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := arch.Put(digest, canonical, old); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{ArchiveDir: dir, CacheMode: CacheVerify})
+	sum := postScenario(t, ts.URL, fam)
+	code, body := waitResult(t, ts.URL, sum.ID)
+	if code != http.StatusOK {
+		t.Fatalf("stale re-run result: %d: %s", code, body)
+	}
+	var doc archive.ResultDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Version != archive.ResultVersion || len(doc.Cells) != 2 {
+		t.Fatalf("stale re-run served %+v, want its own version-%d document", doc, archive.ResultVersion)
+	}
+	if got := runSummary(t, ts.URL, sum.ID); got.Status != StatusDone || got.Archive != "stale" || got.Error != "" {
+		t.Fatalf("stale summary: %+v", got)
+	}
+	if v := metricValue(t, ts.URL, "lbserve_archive_mismatches_total"); v != 0 {
+		t.Fatalf("mismatches: %v, want 0", v)
+	}
+	if stored, err := arch.GetResult(digest); err != nil || !bytes.Equal(stored, old) {
+		t.Fatalf("stale entry changed: %v %s", err, stored)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // TestGapCacheHitMatchesFresh pins the memoization contract: the cached Gap
-// is bit-identical to an uncached recomputation (the power iteration is
+// is bit-identical to an uncached recomputation (the Lanczos solver is
 // deterministic), and a second Balancing wrapper over the same Graph shares
 // the entry.
 func TestGapCacheHitMatchesFresh(t *testing.T) {
@@ -68,7 +68,7 @@ func TestGapCacheConcurrent(t *testing.T) {
 }
 
 // TestGapCacheSkipsAnalyticFamilies: families with analytic ν₂ never enter
-// the power-iteration cache (the analytic path is already O(1)).
+// the solver cache (the analytic path is already O(1)).
 func TestGapCacheSkipsAnalyticFamilies(t *testing.T) {
 	lambda2Mu.Lock()
 	before := len(lambda2Cache)
@@ -79,6 +79,6 @@ func TestGapCacheSkipsAnalyticFamilies(t *testing.T) {
 	after := len(lambda2Cache)
 	lambda2Mu.Unlock()
 	if after != before {
-		t.Fatalf("analytic families grew the power-iteration cache: %d -> %d", before, after)
+		t.Fatalf("analytic families grew the solver cache: %d -> %d", before, after)
 	}
 }

@@ -39,14 +39,25 @@ func (m *Dense) Clone() *Dense {
 // graph. Only intended for small n (the analysis-validation tests); the
 // simulation paths use the matrix-free Operator.
 func DenseTransition(b *graph.Balancing) *Dense {
+	return denseTransition(b, nil)
+}
+
+// denseTransition materializes P, or with a non-nil per-arc alive mask the
+// faulted P' of FaultedGap: a dead arc adds 1/d⁺ to the diagonal instead of
+// to its head's column.
+func denseTransition(b *graph.Balancing, alive []bool) *Dense {
 	n := b.N()
 	m := NewDense(n)
 	dplus := float64(b.DegreePlus())
 	g := b.Graph()
-	for u := 0; u < n; u++ {
+	for u, p := 0, 0; u < n; u++ {
 		m.Set(u, u, float64(b.SelfLoops())/dplus)
 		for _, v := range g.Neighbors(u) {
+			if alive != nil && !alive[p] {
+				v = u
+			}
 			m.Set(u, v, m.At(u, v)+1/dplus)
+			p++
 		}
 	}
 	return m
@@ -160,7 +171,12 @@ func ProbabilityCurrent(b *graph.Balancing, a int) float64 {
 // method. Regular graphs give symmetric P, so the spectrum is real. O(n³)
 // per sweep; for the small n used in analysis validation only.
 func SpectrumDense(b *graph.Balancing) []float64 {
-	a := DenseTransition(b)
+	return symmetricSpectrum(DenseTransition(b))
+}
+
+// symmetricSpectrum returns the eigenvalues of the symmetric matrix a in
+// descending order by Jacobi rotations, overwriting a.
+func symmetricSpectrum(a *Dense) []float64 {
 	n := a.N
 	// Symmetrize defensively against float noise (P is symmetric in exact
 	// arithmetic for regular graphs).

@@ -88,8 +88,8 @@ func TestLambda2AnalyticHypercube(t *testing.T) {
 }
 
 func TestLambda2PowerIterationMatchesAnalytic(t *testing.T) {
-	// Strip the analytic hint off structured graphs and compare the power
-	// iteration against the closed form.
+	// Strip the analytic hint off structured graphs and compare the Lanczos
+	// solver against the closed form.
 	for _, tc := range []struct {
 		make func() *graph.Graph
 	}{
@@ -111,16 +111,16 @@ func TestLambda2PowerIterationMatchesAnalytic(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := Lambda2(graph.Lazy(plain))
-		if !almostEqual(got, want, 1e-6) {
-			t.Fatalf("%s: power iteration λ₂ = %v, analytic %v", g.Name(), got, want)
+		if !almostEqual(got, want, 1e-10) {
+			t.Fatalf("%s: Lanczos λ₂ = %v, analytic %v", g.Name(), got, want)
 		}
 	}
 }
 
 func TestLambda2NonLazyNegativeSpectrum(t *testing.T) {
 	// K_{k,k} without self-loops has spectrum {1, 0…, −1}: the second
-	// largest eigenvalue by value is 0, and the shifted iteration must not
-	// report |−1| = 1.
+	// largest eigenvalue by value is 0, and the solver must not report
+	// |−1| = 1.
 	b := graph.WithLoops(graph.CompleteBipartite(4), 0)
 	got := Lambda2(b)
 	if !almostEqual(got, 0, 1e-6) {

@@ -5,7 +5,7 @@
 # runners never need a writable checkout):
 #
 #   BENCH_step.json    — the BenchmarkStep* hot-path benchmarks plus the
-#                        spectral power iteration;
+#                        spectral gap (analytic and Lanczos);
 #   BENCH_sweep.json   — the BenchmarkSweep100* harness benchmarks (concurrent
 #                        sweep vs the serial analysis.Run loop, warm and cold
 #                        gap cache), whose runs/sec and allocs/op columns are
