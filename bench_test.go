@@ -1,10 +1,9 @@
 package detlb_test
 
-// Benchmark harness: one benchmark per experiment of analysis.AllExperiments
-// (E1–E10 plus the matching-model extension), each
-// regenerating the corresponding table at full size, plus micro-benchmarks
-// for the hot paths (engine step, serial vs parallel, actor round, spectral
-// gap, graph sampling). Run:
+// Benchmark harness: BenchmarkExperiments, one sub-benchmark per entry of
+// the analysis.Experiments registry, each regenerating its table at full
+// size, plus micro-benchmarks for the hot paths (engine step, serial vs
+// parallel, actor round, spectral gap, graph sampling). Run:
 //
 //	go test -bench=. -benchmem
 //
@@ -20,65 +19,20 @@ import (
 	"detlb/internal/core"
 )
 
-func fullCfg() analysis.Config { return analysis.Config{Seed: 1} }
-
-func benchExperiment(b *testing.B, run func(analysis.Config) *analysis.Table) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tab := run(fullCfg())
-		if len(tab.Rows) == 0 {
-			b.Fatal("empty experiment table")
-		}
+// BenchmarkExperiments regenerates every experiment of analysis.Experiments
+// at full size, one sub-benchmark per experiment ID.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range analysis.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if tab := e.Run(analysis.Config{Seed: 1}); len(tab.Rows) == 0 {
+					b.Fatal("empty experiment table")
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkTable1 regenerates E1, the empirical Table 1.
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, analysis.Table1) }
-
-// BenchmarkThm23Expander regenerates E2 (Theorem 2.3(i) on expanders).
-func BenchmarkThm23Expander(b *testing.B) { benchExperiment(b, analysis.Thm23Expander) }
-
-// BenchmarkThm23Cycle regenerates E3 (Theorem 2.3(ii) on cycles).
-func BenchmarkThm23Cycle(b *testing.B) { benchExperiment(b, analysis.Thm23Cycle) }
-
-// BenchmarkThm33GoodS regenerates E4 (Theorem 3.3, time-to-O(d) vs s).
-func BenchmarkThm33GoodS(b *testing.B) { benchExperiment(b, analysis.Thm33GoodS) }
-
-// BenchmarkThm41LowerBound regenerates E5 (Theorem 4.1 steady flows).
-func BenchmarkThm41LowerBound(b *testing.B) { benchExperiment(b, analysis.Thm41) }
-
-// BenchmarkThm42Stateless regenerates E6 (Theorem 4.2 stateless trap).
-func BenchmarkThm42Stateless(b *testing.B) { benchExperiment(b, analysis.Thm42) }
-
-// BenchmarkThm43RotorNoLoops regenerates E7 (Theorem 4.3 period-2 orbits).
-func BenchmarkThm43RotorNoLoops(b *testing.B) { benchExperiment(b, analysis.Thm43) }
-
-// BenchmarkFairnessAudit regenerates E8 (Observation 2.2 fairness constants).
-func BenchmarkFairnessAudit(b *testing.B) { benchExperiment(b, analysis.FairnessAudit) }
-
-// BenchmarkPotentialDrop regenerates E9 (Lemma 3.5/3.7 monotonicity).
-func BenchmarkPotentialDrop(b *testing.B) { benchExperiment(b, analysis.PotentialDrop) }
-
-// BenchmarkExpanderHeadline regenerates E10 (√log n vs log n crossover).
-func BenchmarkExpanderHeadline(b *testing.B) { benchExperiment(b, analysis.ExpanderHeadline) }
-
-// BenchmarkPhaseStructure regenerates E11 (Theorem 3.3 proof phases).
-func BenchmarkPhaseStructure(b *testing.B) { benchExperiment(b, analysis.PhaseExperiment) }
-
-// BenchmarkMatchingModel regenerates the dimension-exchange extension table.
-func BenchmarkMatchingModel(b *testing.B) { benchExperiment(b, analysis.MatchingModel) }
-
-// BenchmarkIrregularExtension regenerates EXT2 (non-regular graphs).
-func BenchmarkIrregularExtension(b *testing.B) { benchExperiment(b, analysis.IrregularExperiment) }
-
-// BenchmarkWeightedTokens regenerates EXT3 (non-uniform tokens).
-func BenchmarkWeightedTokens(b *testing.B) { benchExperiment(b, analysis.WeightedExperiment) }
-
-// BenchmarkAblationSelfLoops regenerates ABL1 (d° sweep).
-func BenchmarkAblationSelfLoops(b *testing.B) { benchExperiment(b, analysis.AblationSelfLoops) }
-
-// BenchmarkAblationRotorOrder regenerates ABL2 (slot-order ablation).
-func BenchmarkAblationRotorOrder(b *testing.B) { benchExperiment(b, analysis.AblationRotorOrder) }
 
 // --- sweep harness ----------------------------------------------------------
 

@@ -1,66 +1,75 @@
-// Command lbbench regenerates every experiment of the reproduction
-// (analysis.AllExperiments: E1–E10 plus the matching-model extension) and
-// prints the result tables.
+// Command lbbench regenerates the experiment suite of the reproduction
+// (analysis.Experiments: Table 1 as E1, the per-theorem experiments
+// E2–E11, the EXT extensions and the ABL ablations) and prints it as text
+// tables or, with -format md, as one Markdown report.
 //
 // Usage:
 //
-//	lbbench [-quick] [-workers n] [-seed s] [-only E3]
+//	lbbench [-quick] [-workers n] [-seed s] [-only E3] [-format text|md] > out
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"detlb/internal/analysis"
-	"detlb/internal/scenario"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run() int {
-	config := scenario.ExperimentFlags(flag.CommandLine)
-	only := flag.String("only", "", "run a single experiment id (E1..E11, EXT, EXT2, ABL1, ABL2)")
-	flag.Parse()
-
-	cfg := config()
-
-	type exp struct {
-		id  string
-		run func(analysis.Config) *analysis.Table
+func run(args []string, stdout io.Writer) int {
+	exps := analysis.Experiments()
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.ID
 	}
-	exps := []exp{
-		{"E1", analysis.Table1},
-		{"E2", analysis.Thm23Expander},
-		{"E3", analysis.Thm23Cycle},
-		{"E4", analysis.Thm33GoodS},
-		{"E5", analysis.Thm41},
-		{"E6", analysis.Thm42},
-		{"E7", analysis.Thm43},
-		{"E8", analysis.FairnessAudit},
-		{"E9", analysis.PotentialDrop},
-		{"E10", analysis.ExpanderHeadline},
-		{"E11", analysis.PhaseExperiment},
-		{"EXT", analysis.MatchingModel},
-		{"EXT2", analysis.IrregularExperiment},
-		{"EXT3", analysis.WeightedExperiment},
-		{"ABL1", analysis.AblationSelfLoops},
-		{"ABL2", analysis.AblationRotorOrder},
-	}
-	matched := false
-	for _, e := range exps {
-		if *only != "" && !strings.EqualFold(*only, e.id) {
-			continue
-		}
-		matched = true
-		e.run(cfg).Render(os.Stdout)
-	}
-	if !matched {
-		fmt.Fprintf(os.Stderr, "lbbench: unknown experiment %q\n", *only)
+	fs := flag.NewFlagSet("lbbench", flag.ContinueOnError)
+	quick := fs.Bool("quick", false, "use small instances (CI-sized)")
+	workers := fs.Int("workers", 0, "engine worker goroutines (0 = serial)")
+	seed := fs.Int64("seed", 1, "seed for randomized components")
+	only := fs.String("only", "", "run a single experiment id ("+strings.Join(ids, ", ")+")")
+	format := fs.String("format", "text", "output format: text tables or one md (Markdown) report")
+	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *format != "text" && *format != "md" {
+		fmt.Fprintf(os.Stderr, "lbbench: unknown format %q (have text, md)\n", *format)
+		return 2
+	}
+	if *only != "" {
+		exps = slices.DeleteFunc(exps, func(e analysis.Experiment) bool {
+			return !strings.EqualFold(*only, e.ID)
+		})
+		if len(exps) == 0 {
+			fmt.Fprintf(os.Stderr, "lbbench: unknown experiment %q\n", *only)
+			return 2
+		}
+	}
+
+	cfg := analysis.Config{Quick: *quick, Workers: *workers, Seed: *seed}
+	if *format == "text" {
+		for _, e := range exps {
+			e.Run(cfg).Render(stdout)
+		}
+		return 0
+	}
+	tabs := make([]*analysis.Table, len(exps))
+	for i, e := range exps {
+		tabs[i] = e.Run(cfg)
+	}
+	title := "detlb experiment report (full size)"
+	if cfg.Quick {
+		title = "detlb experiment report (quick size)"
+	}
+	if err := analysis.WriteReport(stdout, title, tabs); err != nil {
+		fmt.Fprintln(os.Stderr, "lbbench:", err)
+		return 1
 	}
 	return 0
 }

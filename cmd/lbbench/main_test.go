@@ -1,0 +1,47 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"detlb/internal/analysis"
+)
+
+func TestOnlyPrintsOneTable(t *testing.T) {
+	var out strings.Builder
+	if code := run([]string{"-quick", "-only", "e1"}, &out); code != 0 {
+		t.Fatalf("exit code %d, output:\n%s", code, out.String())
+	}
+	want := analysis.Table1(analysis.Config{Quick: true, Seed: 1}).String()
+	if out.String() != want {
+		t.Fatalf("-only e1 output differs from analysis.Table1:\ngot:\n%s\nwant:\n%s", out.String(), want)
+	}
+}
+
+func TestMarkdownReport(t *testing.T) {
+	var out strings.Builder
+	if code := run([]string{"-quick", "-only", "E3", "-format", "md"}, &out); code != 0 {
+		t.Fatalf("exit code %d, output:\n%s", code, out.String())
+	}
+	if !strings.HasPrefix(out.String(), "# detlb experiment report (quick size)\n") {
+		t.Fatalf("report does not start with the quick-size title:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "## E3:") {
+		t.Fatalf("report has no E3 section:\n%s", out.String())
+	}
+}
+
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-quick", "-only", "E99"},
+		{"-quick", "-format", "json"},
+	} {
+		var out strings.Builder
+		if code := run(args, &out); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", args, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote to stdout:\n%s", args, out.String())
+		}
+	}
+}

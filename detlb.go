@@ -462,7 +462,8 @@ var (
 	// TargetDiscrepancy builds the RunSpec.TargetDiscrepancy pointer inline
 	// (0 — perfect balance — is a valid target).
 	TargetDiscrepancy = analysis.Target
-	// AllExperiments regenerates every experiment table (E1–E10 + EXT).
+	// AllExperiments regenerates every experiment table, in the order of
+	// the analysis.Experiments registry.
 	AllExperiments = analysis.AllExperiments
 	// Converge profiles halving times down to a discrepancy target.
 	Converge = analysis.Converge

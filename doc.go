@@ -23,8 +23,8 @@
 //   - spectral utilities (eigenvalue gap µ, balancing time T = O(log(Kn)/µ)),
 //     with Lanczos solver results memoized per graph behind weak references;
 //   - the experiment harness regenerating the paper's Table 1 and one
-//     experiment per theorem (analysis.AllExperiments, printed by
-//     cmd/lbbench);
+//     experiment per theorem (the analysis.Experiments registry, printed by
+//     cmd/lbbench as text tables or, with -format md, one Markdown report);
 //   - a concurrent scenario-sweep subsystem (Sweep): spec families — graph ×
 //     balancer × initial-load grids, the shape of the paper's claims — fan
 //     out over a bounded runner pool with engines reused across runs of the

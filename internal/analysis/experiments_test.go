@@ -235,7 +235,17 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if len(tabs) != 16 {
 		t.Fatalf("expected 16 tables, got %d", len(tabs))
 	}
-	for _, tab := range tabs {
+	exps := Experiments()
+	seen := map[string]bool{}
+	for i, tab := range tabs {
+		id := exps[i].ID
+		if seen[id] {
+			t.Errorf("experiment ID %q is registered twice", id)
+		}
+		seen[id] = true
+		if !strings.HasPrefix(tab.Title, id+":") {
+			t.Errorf("table %d title %q does not start with its ID %q", i, tab.Title, id+":")
+		}
 		if len(tab.Rows) == 0 {
 			t.Errorf("table %q is empty", tab.Title)
 		}

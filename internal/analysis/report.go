@@ -7,8 +7,8 @@ import (
 )
 
 // RenderMarkdown writes a table as GitHub-flavoured Markdown: a heading,
-// the pipe table, and the note as a blockquote. lbreport uses it to emit the
-// cmd/lbbench tables as one Markdown report.
+// the pipe table, and the note as a blockquote. lbbench -format md uses it
+// to emit the suite as one Markdown report.
 func (t *Table) RenderMarkdown(w io.Writer) error {
 	var sb strings.Builder
 	if t.Title != "" {

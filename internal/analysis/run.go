@@ -1,8 +1,8 @@
 // Package analysis is the experiment harness: it runs (graph, algorithm,
 // workload) triples to the paper's time horizon T = O(log(Kn)/µ) with
 // early-stop detection, collects discrepancy metrics and audit results, and
-// regenerates Table 1 and the per-theorem experiments E1–E10
-// (AllExperiments) as text tables.
+// regenerates the experiment suite listed by Experiments (Table 1, the
+// per-theorem experiments, the extensions and the ablations) as tables.
 package analysis
 
 import (

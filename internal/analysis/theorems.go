@@ -481,25 +481,48 @@ func MatchingModel(cfg Config) *Table {
 	return t
 }
 
-// AllExperiments runs the complete suite: Table 1, the per-theorem
-// experiments E1–E10, the extensions, and the ablations, in that order.
+// Experiment is one entry of the suite: the ID its table title starts
+// with, and the function regenerating that table.
+type Experiment struct {
+	ID  string
+	Run func(Config) *Table
+}
+
+// experiments is the suite, in report order: Table 1, the per-theorem
+// experiments E2–E11, the extensions, and the ablations. It is the only
+// list of them.
+var experiments = []Experiment{
+	{"E1", Table1},
+	{"E2", Thm23Expander},
+	{"E3", Thm23Cycle},
+	{"E4", Thm33GoodS},
+	{"E5", Thm41},
+	{"E6", Thm42},
+	{"E7", Thm43},
+	{"E8", FairnessAudit},
+	{"E9", PotentialDrop},
+	{"E10", ExpanderHeadline},
+	{"E11", PhaseExperiment},
+	{"EXT", MatchingModel},
+	{"EXT2", IrregularExperiment},
+	{"EXT3", WeightedExperiment},
+	{"ABL1", AblationSelfLoops},
+	{"ABL2", AblationRotorOrder},
+}
+
+// Experiments returns the suite in report order. The slice is a copy;
+// callers may reorder or filter it freely.
+func Experiments() []Experiment {
+	out := make([]Experiment, len(experiments))
+	copy(out, experiments)
+	return out
+}
+
+// AllExperiments runs every entry of Experiments, in order.
 func AllExperiments(cfg Config) []*Table {
-	return []*Table{
-		Table1(cfg),
-		Thm23Expander(cfg),
-		Thm23Cycle(cfg),
-		Thm33GoodS(cfg),
-		Thm41(cfg),
-		Thm42(cfg),
-		Thm43(cfg),
-		FairnessAudit(cfg),
-		PotentialDrop(cfg),
-		ExpanderHeadline(cfg),
-		PhaseExperiment(cfg),
-		MatchingModel(cfg),
-		IrregularExperiment(cfg),
-		WeightedExperiment(cfg),
-		AblationSelfLoops(cfg),
-		AblationRotorOrder(cfg),
+	tabs := make([]*Table, len(experiments))
+	for i, e := range experiments {
+		tabs[i] = e.Run(cfg)
 	}
+	return tabs
 }

@@ -376,6 +376,48 @@ func TestQueryPlain(t *testing.T) {
 	}
 }
 
+// TestIndexRecoveryCoversRecoveredOnly: the recovery mean and max columns
+// count recovered events only. An unrecovered event (RecoveryRounds −1)
+// moves neither, and a cell where nothing recovered reads 0 for both.
+func TestIndexRecoveryCoversRecoveredOnly(t *testing.T) {
+	arch, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := func(recoveries ...int) analysis.RunResult {
+		res := synthResult(0)
+		res.Shocks = nil
+		for _, rec := range recoveries {
+			res.Shocks = append(res.Shocks, analysis.Shock{Round: 8, PeakDiscrepancy: 40, RecoveryRound: -1, RecoveryRounds: rec})
+			res.Faults = append(res.Faults, analysis.FaultEvent{Round: 8, PeakDiscrepancy: 40, RecoveryRound: -1, RecoveryRounds: rec})
+		}
+		return res
+	}
+	putSynthEntry(t, arch, "mixed", "cycle:8", result(10, -1))
+	putSynthEntry(t, arch, "unrecovered", "cycle:8", result(-1, -1))
+	ix := NewIndex(arch)
+
+	for _, c := range []struct{ name, want string }{
+		{"mixed", "[10 10 10 10]"},
+		{"unrecovered", "[0 0 0 0]"},
+	} {
+		res, err := ix.Query(mustParse(t, QuerySpec{
+			Where: []string{"name=" + c.name},
+			Select: []string{"shock_recovery_rounds_mean,shock_recovery_rounds_max," +
+				"fault_recovery_rounds_mean,fault_recovery_rounds_max"},
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("%s: %d rows, want 1", c.name, len(res.Rows))
+		}
+		if got := fmt.Sprint(res.Rows[0]); got != c.want {
+			t.Errorf("%s: recovery mean/max = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 // TestQueryGrouped: grouped rows emit in sorted key order with typed
 // aggregate values; a global aggregate over zero matches still emits its row.
 func TestQueryGrouped(t *testing.T) {

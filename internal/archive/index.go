@@ -234,9 +234,15 @@ func cellRow(digest, name string, cell int, cols scenario.CellColumns, c CellRes
 		faults:    len(c.Faults),
 		seriesLen: len(c.Series),
 	}
-	var recSum int
+	// Recovery columns cover recovered events only: an event that never
+	// recovered carries RecoveryRounds −1 and counts in neither the mean
+	// nor the max (both stay 0 when nothing recovered).
+	var recSum, recovered int
 	for _, s := range c.Shocks {
-		recSum += s.RecoveryRounds
+		if s.RecoveryRounds >= 0 {
+			recSum += s.RecoveryRounds
+			recovered++
+		}
 		if s.RecoveryRounds > r.shockRecMax {
 			r.shockRecMax = s.RecoveryRounds
 		}
@@ -244,12 +250,15 @@ func cellRow(digest, name string, cell int, cols scenario.CellColumns, c CellRes
 			r.shockPeakMax = s.PeakDiscrepancy
 		}
 	}
-	if len(c.Shocks) > 0 {
-		r.shockRecMean = float64(recSum) / float64(len(c.Shocks))
+	if recovered > 0 {
+		r.shockRecMean = float64(recSum) / float64(recovered)
 	}
-	recSum = 0
+	recSum, recovered = 0, 0
 	for _, f := range c.Faults {
-		recSum += f.RecoveryRounds
+		if f.RecoveryRounds >= 0 {
+			recSum += f.RecoveryRounds
+			recovered++
+		}
 		if f.RecoveryRounds > r.faultRecMax {
 			r.faultRecMax = f.RecoveryRounds
 		}
@@ -257,8 +266,8 @@ func cellRow(digest, name string, cell int, cols scenario.CellColumns, c CellRes
 			r.faultPeakMax = f.PeakDiscrepancy
 		}
 	}
-	if len(c.Faults) > 0 {
-		r.faultRecMean = float64(recSum) / float64(len(c.Faults))
+	if recovered > 0 {
+		r.faultRecMean = float64(recSum) / float64(recovered)
 	}
 	return r
 }

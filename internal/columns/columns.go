@@ -163,17 +163,17 @@ var queryable = []Col{
 	{InitialDiscrepancy, Int, "discrepancy of the initial workload"},
 	{FinalDiscrepancy, Int, "discrepancy at the final round"},
 	{MinDiscrepancy, Int, "minimum discrepancy over the run"},
-	{TargetRound, Int, "first round reaching the target (0 when none)"},
+	{TargetRound, Int, "first round reaching the target (−1 when never reached; 0 when the initial load meets it)"},
 	{StoppedEarly, Bool, "whether patience stopped the run early"},
 	{ReachedTarget, Bool, "whether the discrepancy target was reached"},
 	{Shocks, Int, "number of dynamic-workload shock events"},
 	{Faults, Int, "number of topology fault events"},
 	{SeriesLen, Int, "sampled-trajectory length"},
-	{ShockRecoveryRoundsMax, Int, "slowest shock recovery (rounds)"},
-	{ShockRecoveryRoundsMean, Float, "mean shock recovery (rounds; 0 when no shocks)"},
+	{ShockRecoveryRoundsMax, Int, "slowest recovered shock (rounds; 0 when none recovered)"},
+	{ShockRecoveryRoundsMean, Float, "mean recovery over recovered shocks (rounds; 0 when none recovered)"},
 	{ShockPeakDiscrepancyMax, Int, "worst post-shock discrepancy peak"},
-	{FaultRecoveryRoundsMax, Int, "slowest fault recovery (rounds)"},
-	{FaultRecoveryRoundsMean, Float, "mean fault recovery (rounds; 0 when no faults)"},
+	{FaultRecoveryRoundsMax, Int, "slowest recovered fault (rounds; 0 when none recovered)"},
+	{FaultRecoveryRoundsMean, Float, "mean recovery over recovered faults (rounds; 0 when none recovered)"},
 	{FaultPeakDiscrepancyMax, Int, "worst post-fault discrepancy peak"},
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-
-	"detlb/internal/analysis"
 )
 
 // The preset catalog: named, versioned experiment families covering the
@@ -126,19 +124,6 @@ func Preset(name string) (*Family, error) {
 		return f, nil
 	}
 	return nil, fmt.Errorf("scenario: unknown preset %q (have %v)", name, PresetNames())
-}
-
-// ExperimentFlags registers the experiment-suite flags shared by the report
-// CLIs (lbbench, lbreport) on fs and returns the closure producing the
-// analysis.Config they wire — one copy of the quick/workers/seed plumbing
-// instead of one per command.
-func ExperimentFlags(fs *flag.FlagSet) func() analysis.Config {
-	quick := fs.Bool("quick", false, "use small instances (CI-sized)")
-	workers := fs.Int("workers", 0, "engine worker goroutines (0 = serial)")
-	seed := fs.Int64("seed", 1, "seed for randomized components")
-	return func() analysis.Config {
-		return analysis.Config{Quick: *quick, Workers: *workers, Seed: *seed}
-	}
 }
 
 // WarnOverriddenFlags reports explicitly-set flags that a scenario file or
