@@ -12,11 +12,13 @@ package detlb_test
 // cmd/lbbench prints.
 
 import (
+	"fmt"
 	"testing"
 
 	"detlb"
 	"detlb/internal/analysis"
 	"detlb/internal/core"
+	"detlb/internal/scenario"
 )
 
 // BenchmarkExperiments regenerates every experiment of analysis.Experiments
@@ -118,6 +120,39 @@ func BenchmarkSweep100SerialColdGap(b *testing.B) {
 		}
 	}
 	reportSweepMetrics(b, len(specs))
+}
+
+// BenchmarkSweepColdExpander measures the sweep of one cold
+// expander-headline POST: the preset's 9 cells (random 8-regular graphs on
+// 128, 256 and 512 nodes × send-floor, rotor-router and biased rounding),
+// bound afresh each iteration outside the timer so every spectral gap is
+// solved cold, at sweep widths 1 and 2.
+func BenchmarkSweepColdExpander(b *testing.B) {
+	fam, err := scenario.Preset("expander-headline")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var cells int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				specs, _, err := fam.Bind()
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells = len(specs)
+				b.StartTimer()
+				for _, res := range detlb.Sweep(specs, detlb.SweepOptions{Workers: workers}) {
+					if res.Err != nil {
+						b.Fatal(res.Err)
+					}
+				}
+			}
+			reportSweepMetrics(b, cells)
+		})
+	}
 }
 
 // --- dynamic workloads ------------------------------------------------------
@@ -358,6 +393,10 @@ func benchStep(b *testing.B, algo detlb.Balancer, workers int) {
 // BenchmarkStepSendFloor measures one engine round of SEND(⌊x/d⁺⌋) on a
 // 1024-node expander (serial).
 func BenchmarkStepSendFloor(b *testing.B) { benchStep(b, detlb.NewSendFloor(), 0) }
+
+// BenchmarkStepBiasedRounding measures one round of the biased round-fair
+// baseline (serial).
+func BenchmarkStepBiasedRounding(b *testing.B) { benchStep(b, detlb.NewBiasedRounding(), 0) }
 
 // BenchmarkStepRotorRouter measures one rotor-router round (serial).
 func BenchmarkStepRotorRouter(b *testing.B) { benchStep(b, detlb.NewRotorRouter(), 0) }

@@ -1,15 +1,18 @@
 package analysis
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 
 	"detlb/internal/core"
 	"detlb/internal/graph"
+	"detlb/internal/spectral"
 )
 
 // SweepOptions configure Sweep's concurrent execution. The zero value is
@@ -65,6 +68,14 @@ func (p *sweepProgress) specDone() {
 //     bounded-error, matching) is never bound to two engines at once. Do not
 //     share such an instance across specs with *different* balancing graphs
 //     in one sweep; give each spec its own instance.
+//   - With more than one runner, groups go out largest first by n·d⁺ of
+//     their balancing graph (a stable order, so equal-cost groups keep their
+//     discovery order), and the last groups handed out are the short ones.
+//     Ahead of them the runners take one spectral-gap warm-up per distinct
+//     solved diffusion graph, largest first, so different graphs' gaps are
+//     solved side by side rather than one runner waiting on another's solve.
+//     One runner runs the groups in discovery order with no warm-ups.
+//     Neither order moves a result.
 //   - The spectral gap is memoized per graph (see spectral.Gap), so a sweep
 //     over repeated graphs pays each Lanczos solve once.
 //
@@ -80,9 +91,10 @@ func Sweep(specs []RunSpec, opt SweepOptions) []RunResult {
 // of running, and specs already in flight stop within one round (the round
 // loop checks the context between rounds, exactly like a streaming consumer's
 // context), keeping their completed-round bookkeeping alongside a
-// cancellation Err. Long dynamic sweeps should pass a cancelable context and,
-// if they report progress, a SweepOptions.Progress callback. The serving
-// layer relies on the round-granularity guarantee for graceful drain.
+// cancellation Err. Gap warm-ups not yet started are skipped. Long dynamic
+// sweeps should pass a cancelable context and, if they report progress, a
+// SweepOptions.Progress callback. The serving layer relies on the
+// round-granularity guarantee for graceful drain.
 func SweepContext(ctx context.Context, specs []RunSpec, opt SweepOptions) []RunResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -125,23 +137,86 @@ func SweepContext(ctx context.Context, specs []RunSpec, opt SweepOptions) []RunR
 		return results
 	}
 
-	groups := make(chan *sweepGroup)
+	// Largest groups first, so no runner starts a long group while the
+	// others run out of work.
+	slices.SortStableFunc(order, func(a, b *sweepGroup) int {
+		return cmp.Compare(balancingCost(specs[b.indices[0]].Balancing), balancingCost(specs[a.indices[0]].Balancing))
+	})
+
+	tasks := make(chan func())
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for g := range groups {
-				runSweepGroup(ctx, specs, g.indices, results, prog)
+			for task := range tasks {
+				task()
 			}
 		}()
 	}
-	for _, g := range order {
-		groups <- g
+	// The gap warm-ups go out before the groups, so the runners solve
+	// different graphs' gaps side by side instead of one group's runner
+	// waiting on another's solve of the same gap.
+	for _, b := range gapWarmups(specs) {
+		tasks <- func() { warmGap(ctx, b) }
 	}
-	close(groups)
+	for _, g := range order {
+		tasks <- func() { runSweepGroup(ctx, specs, g.indices, results, prog) }
+	}
+	close(tasks)
 	wg.Wait()
 	return results
+}
+
+// balancingCost is n·d⁺ of a balancing graph: the work of one round on it,
+// and of one matvec of its gap solve. A missing graph costs 0.
+func balancingCost(b *graph.Balancing) int {
+	if b == nil || b.Graph() == nil {
+		return 0
+	}
+	return b.N() * b.DegreePlus()
+}
+
+// gapWarmups returns one balancing graph per distinct spectral-gap memo
+// entry (graph, d°) that the diffusion specs will ask for, largest first.
+// Graphs with an analytic ν₂ have no solve to warm.
+func gapWarmups(specs []RunSpec) []*graph.Balancing {
+	type gapKey struct {
+		g         *graph.Graph
+		selfLoops int
+	}
+	seen := map[gapKey]bool{}
+	var warm []*graph.Balancing
+	for _, spec := range specs {
+		b := spec.Balancing
+		if spec.Algorithm == nil || spec.Model != nil || b == nil || b.Graph() == nil {
+			continue
+		}
+		if _, analytic := b.Graph().Nu2(); analytic {
+			continue
+		}
+		key := gapKey{b.Graph(), b.SelfLoops()}
+		if !seen[key] {
+			seen[key] = true
+			warm = append(warm, b)
+		}
+	}
+	slices.SortStableFunc(warm, func(a, b *graph.Balancing) int {
+		return cmp.Compare(balancingCost(b), balancingCost(a))
+	})
+	return warm
+}
+
+// warmGap solves b's spectral gap into the memo ahead of the groups that
+// read it, unless ctx is already done. A panic is dropped here: the memo
+// raises it again for the spec that asks for the same gap, which reports it
+// through its Err as runSweepSpec does.
+func warmGap(ctx context.Context, b *graph.Balancing) {
+	if ctx.Err() != nil {
+		return
+	}
+	defer func() { _ = recover() }()
+	spectral.Gap(b)
 }
 
 // sweepKey identifies one reuse group: same balancing graph plus the same

@@ -10,6 +10,7 @@ import (
 	"detlb/internal/balancer"
 	"detlb/internal/core"
 	"detlb/internal/graph"
+	"detlb/internal/protocol"
 	"detlb/internal/workload"
 )
 
@@ -73,6 +74,61 @@ func TestSweepMatchesSerialRunLoop(t *testing.T) {
 	}
 }
 
+// TestSweepLargestFirstMatchesSerial runs a family of three graph sizes ×
+// three algorithms, listed smallest graph first, plus a protocol-model spec,
+// a spec without a graph and one on a graph whose gap solve panics. The
+// parallel path reorders the groups and warms the gaps first; every result
+// must still equal the serial loop's, and the bad specs keep their errors.
+func TestSweepLargestFirstMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	// family builds fresh graphs on every call, so each sweep starts with
+	// its gap memo cold and the warm-ups do the solving.
+	family := func() []RunSpec {
+		algos := []core.Balancer{balancer.NewSendFloor(), balancer.NewRotorRouter(), balancer.NewBiasedRounding()}
+		var specs []RunSpec
+		for _, n := range []int{32, 64, 128} {
+			b := graph.Lazy(graph.RandomRegular(n, 8, int64(n)))
+			for _, algo := range algos {
+				specs = append(specs, RunSpec{
+					Balancing: b,
+					Algorithm: algo,
+					Initial:   workload.PointMass(n, 1, int64(16*n)+3),
+					Patience:  64,
+				})
+			}
+		}
+		return append(specs,
+			majoritySpec(protocol.NewMajority(64, 7), 0),
+			RunSpec{Algorithm: balancer.NewSendFloor(), Initial: workload.PointMass(16, 0, 1)},
+			RunSpec{Balancing: graph.Lazy(&graph.Graph{}), Algorithm: balancer.NewSendFloor(), MaxRounds: 10},
+		)
+	}
+	specs := family()
+	nilGraph, badGraph := len(specs)-2, len(specs)-1
+
+	ref := make([]RunResult, len(specs))
+	for i, spec := range specs[:badGraph] {
+		ref[i] = Run(spec)
+	}
+	// Run does not contain a panicking solve; the serial sweep path does.
+	ref[badGraph] = Sweep(specs[badGraph:], SweepOptions{Workers: 1})[0]
+	for _, i := range []int{nilGraph, badGraph} {
+		if ref[i].Err == nil {
+			t.Fatalf("spec %d should have failed", i)
+		}
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		got := Sweep(family(), SweepOptions{Workers: workers})
+		for i := range ref {
+			if !reflect.DeepEqual(ref[i], got[i]) {
+				t.Fatalf("workers=%d spec %d: sweep result diverges from serial Run:\n got %+v\nwant %+v",
+					workers, i, got[i], ref[i])
+			}
+		}
+	}
+}
+
 // TestSweepReusedEngineMatchesFresh drives one (graph, algorithm) group —
 // maximal engine reuse, every spec after the first runs on a Reset engine —
 // and checks each result against a fresh-engine Run.
@@ -120,6 +176,19 @@ func TestSweepNoGoroutineGrowth(t *testing.T) {
 	}
 	specs := make([]RunSpec, 50)
 	for i := range specs {
+		specs[i] = spec
+	}
+	for _, res := range Sweep(specs, SweepOptions{Workers: 4}) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	// Several graphs make several groups, so the runners also take gap
+	// warm-ups.
+	for i := range specs {
+		if i%10 == 0 {
+			spec.Balancing = graph.Lazy(graph.RandomRegular(64, 8, int64(10+i)))
+		}
 		specs[i] = spec
 	}
 	for _, res := range Sweep(specs, SweepOptions{Workers: 4}) {

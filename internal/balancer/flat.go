@@ -283,14 +283,56 @@ func (gr *goodSRange) DistributeRange(x, bp, kept []int64, lo, hi int) {
 	}
 }
 
+// --- biased rounding --------------------------------------------------------
+
+// BindFlat implements core.FlatBalancer. The excess x mod d⁺ fills the
+// original edges in index order before any self-loop, so the mask is the low
+// min(x mod d⁺, d) bits and the rest of the excess stays on the self-loops.
+func (BiasedRounding) BindFlat(b *graph.Balancing) core.RangeDistributor {
+	if b.Degree() >= 64 {
+		return nil
+	}
+	return &biasedRange{d: b.Degree(), div: newDivider(b.DegreePlus())}
+}
+
+type biasedRange struct {
+	d   int
+	div divider
+}
+
+// ResetState implements core.StateResetter (stateless).
+func (br *biasedRange) ResetState() {}
+
+// DistributeRange implements core.RangeDistributor; it mirrors
+// biasedNode.Distribute with nil selfLoops. A negative load sends nothing.
+func (br *biasedRange) DistributeRange(x, bp, kept []int64, lo, hi int) {
+	d := br.d
+	for u := lo; u < hi; u++ {
+		load := x[u]
+		if load < 0 {
+			bp[2*u] = 0
+			bp[2*u+1] = 0
+			kept[u] = load
+			continue
+		}
+		base, excess := br.div.split(load)
+		extra := min(excess, d)
+		bp[2*u] = base
+		bp[2*u+1] = int64(uint64(1)<<uint(extra) - 1)
+		kept[u] = load - int64(d)*base - int64(extra)
+	}
+}
+
 var (
 	_ core.FlatBalancer = (*RotorRouter)(nil)
 	_ core.FlatBalancer = SendFloor{}
 	_ core.FlatBalancer = SendRound{}
 	_ core.FlatBalancer = GoodS{}
+	_ core.FlatBalancer = BiasedRounding{}
 
 	_ core.StateResetter = (*rotorRange)(nil)
 	_ core.StateResetter = (*sendFloorRange)(nil)
 	_ core.StateResetter = (*sendRoundRange)(nil)
 	_ core.StateResetter = (*goodSRange)(nil)
+	_ core.StateResetter = (*biasedRange)(nil)
 )

@@ -3,6 +3,7 @@ package balancer
 import (
 	"testing"
 
+	"detlb/internal/core"
 	"detlb/internal/graph"
 )
 
@@ -97,4 +98,68 @@ func FuzzGoodSRoundFair(f *testing.F) {
 				ceilLoops, want, load, s)
 		}
 	})
+}
+
+// FuzzFlatMatchesPerNode cross-checks every FlatBalancer's DistributeRange
+// against its per-node Distribute on fuzzed degrees, self-loop counts, graph
+// seeds and loads, over several rounds so rotor state advances too. algoIn
+// picks send-floor, send-round, rotor-router, good-s or biased rounding; the
+// seed corpus under testdata/fuzz covers each of them.
+func FuzzFlatMatchesPerNode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, algoIn, dIn, loopsIn uint8, seed int64, loads []byte) {
+		const n = 18
+		d := 2 + int(dIn)%8 // 2..9; n is even, so n·d is too
+		loops := int(loopsIn) % 64
+		negative := true
+		var algo core.Balancer
+		switch algoIn % 5 {
+		case 0:
+			algo = NewSendFloor()
+		case 1:
+			loops = max(loops, d) // send-round needs d⁺ ≥ 2d
+			negative = false
+			algo = NewSendRound()
+		case 2:
+			algo = NewRotorRouter()
+		case 3:
+			loops = max(loops, 1) // good-s needs 1 ≤ s ≤ d°
+			algo = NewGoodS(1 + int(uint64(seed)%uint64(loops)))
+		default:
+			algo = NewBiasedRounding()
+		}
+		b := graph.WithLoops(graph.RandomRegular(n, d, seed), loops)
+		rd := algo.(core.FlatBalancer).BindFlat(b)
+		if rd == nil {
+			return // a configuration the flat path declines (rotor-router with d⁺ > 64)
+		}
+		nodes := algo.Bind(b)
+		x := make([]int64, n)
+		bp := make([]int64, 2*n)
+		kept := make([]int64, n)
+		sends := make([]int64, d)
+		for round := 0; round < 4; round++ {
+			for u := range x {
+				x[u] = fuzzLoad(loads, round*n+u, negative)
+			}
+			checkFlatRound(t, algo.Name(), round, rd, nodes, x, bp, kept, sends)
+		}
+	})
+}
+
+// fuzzLoad decodes load i as a little-endian int32 from four consecutive
+// bytes of raw, wrapping around its end; without negative, a negative value
+// becomes its magnitude. An empty raw gives zero loads.
+func fuzzLoad(raw []byte, i int, negative bool) int64 {
+	if len(raw) == 0 {
+		return 0
+	}
+	var v uint32
+	for k := 0; k < 4; k++ {
+		v |= uint32(raw[(4*i+k)%len(raw)]) << (8 * k)
+	}
+	x := int64(int32(v))
+	if x < 0 && !negative {
+		x = -x
+	}
+	return x
 }

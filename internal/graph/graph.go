@@ -15,6 +15,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Arc identifies a directed original edge as the Index-th out-edge of From.
@@ -184,8 +185,14 @@ func (g *Graph) Validate() error {
 	if g.d <= 0 {
 		return fmt.Errorf("graph %s: degree must be positive, got %d", g.name, g.d)
 	}
-	type pair struct{ u, v int }
-	count := make(map[pair]int, g.n*g.d)
+	// Pack each arc u->v as the key u<<32|v. The multiset is symmetric iff
+	// the sorted keys equal the sorted keys of the reversed arcs; at the
+	// first position where they differ, the smaller key is the smallest pair
+	// whose two directions have different counts. Sorting each node's d keys
+	// sorts arcs, since the nodes come in order; bucketing the reversed keys
+	// by head, in that order, sorts rev.
+	arcs := make([]uint64, 0, g.n*g.d)
+	start := make([]int, g.n+1) // in-degree of v at start[v+1], then bucket starts
 	for u, nbrs := range g.adj {
 		if len(nbrs) != g.d {
 			return fmt.Errorf("graph %s: node %d has out-degree %d, want %d", g.name, u, len(nbrs), g.d)
@@ -197,16 +204,37 @@ func (g *Graph) Validate() error {
 			if v == u {
 				return fmt.Errorf("graph %s: node %d has a self-arc; self-loops belong to Balancing", g.name, u)
 			}
-			count[pair{u, v}]++
+			arcs = append(arcs, uint64(u)<<32|uint64(v))
+			start[v+1]++
 		}
+		slices.Sort(arcs[len(arcs)-g.d:])
 	}
-	for p, c := range count {
-		if rc := count[pair{p.v, p.u}]; rc != c {
-			return fmt.Errorf("graph %s: asymmetric arc multiset: %d arcs %d->%d but %d arcs %d->%d",
-				g.name, c, p.u, p.v, rc, p.v, p.u)
+	for v := 0; v < g.n; v++ {
+		start[v+1] += start[v]
+	}
+	rev := make([]uint64, len(arcs))
+	for _, k := range arcs {
+		u, v := k>>32, k&(1<<32-1)
+		rev[start[v]] = v<<32 | u
+		start[v]++
+	}
+	for i, k := range arcs {
+		if k == rev[i] {
+			continue
 		}
+		k = min(k, rev[i])
+		u, v := int(k>>32), int(k&(1<<32-1))
+		return fmt.Errorf("graph %s: asymmetric arc multiset: %d arcs %d->%d but %d arcs %d->%d",
+			g.name, countKey(arcs, k), u, v, countKey(rev, k), v, u)
 	}
 	return nil
+}
+
+// countKey returns how often k occurs in the sorted keys.
+func countKey(keys []uint64, k uint64) int {
+	lo, _ := slices.BinarySearch(keys, k)
+	hi, _ := slices.BinarySearch(keys, k+1)
+	return hi - lo
 }
 
 // ReverseIndex returns, for every node v, the list of arcs whose head is v.

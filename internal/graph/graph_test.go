@@ -34,6 +34,21 @@ func TestNewRejectsAsymmetric(t *testing.T) {
 	}
 }
 
+// TestValidateNamesSmallestAsymmetricPair: with several offending pairs the
+// error always names the smallest one, so the message never depends on
+// iteration order.
+func TestValidateNamesSmallestAsymmetricPair(t *testing.T) {
+	// 0->1 twice but 1->0 once; 3->2 twice but 2->3 once.
+	adj := [][]int{{1, 1}, {0, 2}, {1, 3}, {2, 2}}
+	const want = "graph asym: asymmetric arc multiset: 2 arcs 0->1 but 1 arcs 1->0"
+	for i := 0; i < 50; i++ {
+		_, err := New("asym", adj)
+		if err == nil || err.Error() != want {
+			t.Fatalf("attempt %d: got %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestNewRejectsOutOfRange(t *testing.T) {
 	adj := [][]int{{1, 5}, {0, 0}}
 	if _, err := New("oob", adj); err == nil {

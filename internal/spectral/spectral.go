@@ -140,10 +140,12 @@ type lambda2Key struct {
 
 // lambda2Entry is a once-guarded cache slot: concurrent sweep workers asking
 // for the same graph's λ₂ share one solve instead of racing to compute
-// duplicates.
+// duplicates. A solve that panics leaves its panic value, which every lookup
+// raises again, so no caller reads a zero λ₂ left behind by the unwound solve.
 type lambda2Entry struct {
-	once sync.Once
-	val  float64
+	once     sync.Once
+	val      float64
+	panicked any
 }
 
 var (
@@ -171,7 +173,13 @@ func memoLambda2(g *graph.Graph, key lambda2Key, compute func() float64) float64
 		}, key)
 	}
 	lambda2Mu.Unlock()
-	e.once.Do(func() { e.val = compute() })
+	e.once.Do(func() {
+		defer func() { e.panicked = recover() }()
+		e.val = compute()
+	})
+	if e.panicked != nil {
+		panic(e.panicked)
+	}
 	return e.val
 }
 

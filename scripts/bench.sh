@@ -6,10 +6,11 @@
 #
 #   BENCH_step.json    — the BenchmarkStep* hot-path benchmarks plus the
 #                        spectral gap (analytic and Lanczos);
-#   BENCH_sweep.json   — the BenchmarkSweep100* harness benchmarks (concurrent
+#   BENCH_sweep.json   — the BenchmarkSweep* harness benchmarks (concurrent
 #                        sweep vs the serial analysis.Run loop, warm and cold
-#                        gap cache), whose runs/sec and allocs/op columns are
-#                        the sweep subsystem's acceptance numbers;
+#                        gap cache, and the cold expander-headline family at
+#                        sweep widths 1 and 2), whose runs/sec and allocs/op
+#                        columns are the sweep subsystem's acceptance numbers;
 #   BENCH_dynamic.json — the BenchmarkDynamic* shocked-run benchmarks (dynamic
 #                        harness vs its static baseline, plus a shocked sweep);
 #   BENCH_topology.json — the BenchmarkTopology* fault-injection benchmarks
@@ -130,8 +131,8 @@ fi
 record 'BenchmarkStep|BenchmarkSpectralGap' BENCH_step.json \
   "ns_op_min is the noise-robust statistic on shared machines; baseline is the pre-refactor engine (see CHANGES.md)"
 
-record 'BenchmarkSweep100' BENCH_sweep.json \
-  "100-spec sweep acceptance numbers: Sweep100 is the concurrent harness (engines reused, gap memoized); SerialColdGap is the pre-sweep equivalent loop (gap recomputed per run, fresh engine per run); SerialWarmGap isolates engine reuse + scheduling. allocs_op is per 100 runs."
+record 'BenchmarkSweep' BENCH_sweep.json \
+  "100-spec sweep acceptance numbers: Sweep100 is the concurrent harness (engines reused, gap memoized); SerialColdGap is the pre-sweep equivalent loop (gap recomputed per run, fresh engine per run); SerialWarmGap isolates engine reuse + scheduling. allocs_op is per 100 runs. SweepColdExpander/workers=1|2 is one cold expander-headline family (9 cells, freshly bound graphs, every gap solved cold) at sweep widths 1 and 2; allocs_op is per family."
 
 record 'BenchmarkDynamic' BENCH_dynamic.json \
   "shocked-run numbers: ShockedRun is one 128-round dynamic run (burst + periodic refill + churn, recovery-tracked); StaticBaseline is the same instance without a schedule — the dynamic-harness overhead denominator; DynamicSweep25 pushes 25 shocked specs through the concurrent sweep."
