@@ -237,7 +237,7 @@ func BenchmarkDynamicSweep25(b *testing.B) {
 func faultBenchLinks(g *detlb.Graph, count int) [][2]int {
 	links := make([][2]int, 0, count)
 	for u := 0; len(links) < count; u += 7 {
-		links = append(links, [2]int{u, g.Neighbor(u, 0)})
+		links = append(links, [2]int{u, int(g.Neighbors(u)[0])})
 	}
 	return links
 }

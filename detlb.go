@@ -23,8 +23,6 @@ type (
 	Graph = graph.Graph
 	// Balancing is the balancing graph G+ with d° self-loops per node.
 	Balancing = graph.Balancing
-	// Arc identifies a directed original edge (u, i).
-	Arc = graph.Arc
 )
 
 // Graph family constructors.

@@ -251,19 +251,33 @@ func (f *FixedFlow) Bind(b *graph.Balancing) []core.NodeBalancer {
 			panic(fmt.Sprintf("balancer: fixed flow at node %d covers %d edges, degree is %d",
 				u, len(f.Flow[u]), b.Degree()))
 		}
-		nodes[u] = &fixedFlowNode{flow: f.Flow[u], selfLoops: b.SelfLoops()}
+		nodes[u] = &planNode{plan: f.Flow[u]}
 	}
 	return nodes
 }
 
-type fixedFlowNode struct {
-	flow      []int64
-	selfLoops int
+// planNode sends a row of a centrally computed per-arc plan and spreads the
+// rest of its load as evenly as possible over its self-loops. The scheme
+// gives no per-self-loop guarantee: the balancers that plan centrally
+// (fixed-flow, matching, bounded-error, continuous-mimic) are not in the
+// cumulatively-fair class.
+type planNode struct {
+	plan []int64
 }
 
-func (n *fixedFlowNode) Distribute(load int64, sends, selfLoops []int64) {
-	copy(sends, n.flow)
-	if selfLoops == nil || n.selfLoops == 0 {
+// planNodes binds one planNode per node over its row plan[u*d : (u+1)*d] of
+// a flat plan indexed by arc position.
+func planNodes(plan []int64, d int) []core.NodeBalancer {
+	nodes := make([]core.NodeBalancer, len(plan)/d)
+	for u := range nodes {
+		nodes[u] = &planNode{plan: plan[u*d : (u+1)*d]}
+	}
+	return nodes
+}
+
+func (n *planNode) Distribute(load int64, sends, selfLoops []int64) {
+	copy(sends, n.plan)
+	if len(selfLoops) == 0 {
 		return
 	}
 	var out int64
@@ -271,8 +285,8 @@ func (n *fixedFlowNode) Distribute(load int64, sends, selfLoops []int64) {
 		out += s
 	}
 	rest := load - out
-	base := core.FloorShare(rest, n.selfLoops)
-	extra := rest - base*int64(n.selfLoops)
+	base := core.FloorShare(rest, len(selfLoops))
+	extra := rest - base*int64(len(selfLoops))
 	for j := range selfLoops {
 		selfLoops[j] = base
 		if int64(j) < extra {

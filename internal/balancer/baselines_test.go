@@ -120,15 +120,15 @@ func TestContinuousFlowsMatchLoadChange(t *testing.T) {
 		c.Step()
 	}
 	g := b.Graph()
-	rev := g.ReverseIndex()
+	d, revPos := g.Degree(), g.RevArcPos()
 	for u := 0; u < g.N(); u++ {
 		var out float64
 		for _, f := range c.Flows()[u] {
 			out += f
 		}
 		var in float64
-		for _, a := range rev[u] {
-			in += c.Flows()[a.From][a.Index]
+		for _, p := range revPos[u*d : (u+1)*d] {
+			in += c.Flows()[int(p)/d][int(p)%d]
 		}
 		want := float64(x1[u]) - out + in
 		if math.Abs(c.Loads()[u]-want) > 1e-6 {

@@ -24,10 +24,10 @@ type BoundedError struct {
 	b    *graph.Balancing
 	acc  []float64 // cumulative continuous net flow per undirected edge
 	sent []int64   // cumulative discrete net flow per undirected edge
-	plan [][]int64
+	plan []int64   // sends planned for the current round, by arc position
 
-	edges   []graph.Arc // canonical arcs (From < head)
-	reverse []int       // reverse[i] = arc index of the opposite direction at the head
+	edges   []int32 // canonical arc positions (tail < head)
+	reverse []int32 // reverse[e] = position of the opposite arc of edges[e]
 }
 
 var _ core.Balancer = (*BoundedError)(nil)
@@ -44,52 +44,39 @@ func (q *BoundedError) Name() string { return "bounded-error" }
 func (q *BoundedError) Bind(b *graph.Balancing) []core.NodeBalancer {
 	q.b = b
 	g := b.Graph()
-	q.plan = make([][]int64, b.N())
-	for u := range q.plan {
-		q.plan[u] = make([]int64, b.Degree())
-	}
+	d := g.Degree()
+	q.plan = make([]int64, b.N()*d)
 	q.edges = q.edges[:0]
 	q.reverse = q.reverse[:0]
-	for u := 0; u < g.N(); u++ {
-		for i, v := range g.Neighbors(u) {
-			if v > u {
-				q.edges = append(q.edges, graph.Arc{From: u, Index: i})
-				q.reverse = append(q.reverse, reverseArcIndex(g, u, v, i))
-			}
+	for p, v := range g.Heads() {
+		if int(v) > p/d {
+			q.edges = append(q.edges, int32(p))
+			q.reverse = append(q.reverse, int32(reverseArcPos(g, p)))
 		}
 	}
 	q.acc = make([]float64, len(q.edges))
 	q.sent = make([]int64, len(q.edges))
-	nodes := make([]core.NodeBalancer, b.N())
-	for u := range nodes {
-		nodes[u] = &boundedErrorNode{q: q, u: u}
-	}
-	return nodes
+	return planNodes(q.plan, d)
 }
 
 // BeginRound implements core.RoundObserver: accumulate the continuous net
 // flow of each edge and plan the integer send that keeps the cumulative
 // discrete flow within 1/2 of it.
 func (q *BoundedError) BeginRound(round int, loads []int64) {
-	g := q.b.Graph()
+	heads, d := q.b.Graph().Heads(), q.b.Degree()
 	dplus := float64(q.b.DegreePlus())
-	for u := range q.plan {
-		for i := range q.plan[u] {
-			q.plan[u][i] = 0
-		}
-	}
-	for e, a := range q.edges {
-		u := a.From
-		v := g.Neighbor(u, a.Index)
+	clear(q.plan)
+	for e, p := range q.edges {
+		u, v := int(p)/d, heads[p]
 		q.acc[e] += (float64(loads[u]) - float64(loads[v])) / dplus
 		want := int64(math.Round(q.acc[e]))
 		s := want - q.sent[e]
 		q.sent[e] = want
 		switch {
 		case s > 0:
-			q.plan[u][a.Index] += s
+			q.plan[p] += s
 		case s < 0:
-			q.plan[v][q.reverse[e]] += -s
+			q.plan[q.reverse[e]] += -s
 		}
 	}
 }
@@ -102,29 +89,4 @@ func (q *BoundedError) MaxAbsError() float64 {
 		worst = math.Max(worst, math.Abs(q.acc[e]-float64(q.sent[e])))
 	}
 	return worst
-}
-
-type boundedErrorNode struct {
-	q *BoundedError
-	u int
-}
-
-func (n *boundedErrorNode) Distribute(load int64, sends, selfLoops []int64) {
-	copy(sends, n.q.plan[n.u])
-	if selfLoops == nil || len(selfLoops) == 0 {
-		return
-	}
-	var out int64
-	for _, s := range sends {
-		out += s
-	}
-	rest := load - out
-	base := core.FloorShare(rest, len(selfLoops))
-	extra := rest - base*int64(len(selfLoops))
-	for j := range selfLoops {
-		selfLoops[j] = base
-		if int64(j) < extra {
-			selfLoops[j]++
-		}
-	}
 }

@@ -136,7 +136,7 @@ func (m *ContinuousMimic) Bind(b *graph.Balancing) []core.NodeBalancer {
 	}
 	nodes := make([]core.NodeBalancer, b.N())
 	for u := range nodes {
-		nodes[u] = &mimicNode{m: m, u: u}
+		nodes[u] = &planNode{plan: m.plan[u]}
 	}
 	return nodes
 }
@@ -154,37 +154,6 @@ func (m *ContinuousMimic) BeginRound(round int, loads []int64) {
 			target := int64(math.Round(cf[i]))
 			m.plan[u][i] = target - m.sent[u][i]
 			m.sent[u][i] = target
-		}
-	}
-}
-
-type mimicNode struct {
-	m *ContinuousMimic
-	u int
-}
-
-func (n *mimicNode) Distribute(load int64, sends, selfLoops []int64) {
-	copy(sends, n.m.plan[n.u])
-	if selfLoops == nil {
-		return
-	}
-	// Whatever stays is reported on the self-loops as evenly as possible;
-	// the scheme gives no per-self-loop guarantee (it is not in the
-	// cumulatively-fair class).
-	var out int64
-	for _, s := range sends {
-		out += s
-	}
-	rest := load - out
-	if len(selfLoops) == 0 {
-		return
-	}
-	base := core.FloorShare(rest, len(selfLoops))
-	extra := rest - base*int64(len(selfLoops))
-	for j := range selfLoops {
-		selfLoops[j] = base
-		if int64(j) < extra {
-			selfLoops[j]++
 		}
 	}
 }

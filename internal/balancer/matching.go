@@ -19,67 +19,61 @@ import (
 // round-down.
 
 // MatchingScheduler yields, for each round, a matching: a set of disjoint
-// arcs (u, i) designating the edge each matched pair balances over. Arcs are
-// canonical (u smaller than the neighbor) to avoid double-listing a pair.
+// arcs designating the edge each matched pair balances over, each named by
+// its position p = u*d + i. Arcs are canonical (u smaller than the neighbor)
+// to avoid double-listing a pair.
 type MatchingScheduler interface {
-	// Matching returns the arcs active in the given round (1-based). The
-	// result must describe a valid matching of the original graph.
-	Matching(round int) []graph.Arc
+	// Matching returns the positions of the arcs active in the given round
+	// (1-based). The result must describe a valid matching of the original
+	// graph.
+	Matching(round int) []int32
 }
 
 // PeriodicMatchings cycles through a fixed list of matchings — the
 // "balancing circuit" model. For a hypercube, EdgeColoringScheduler produces
 // the canonical dimension-per-round circuit.
 type PeriodicMatchings struct {
-	Rounds [][]graph.Arc
+	Rounds [][]int32
 }
 
 // Matching implements MatchingScheduler.
-func (p *PeriodicMatchings) Matching(round int) []graph.Arc {
+func (p *PeriodicMatchings) Matching(round int) []int32 {
 	return p.Rounds[(round-1)%len(p.Rounds)]
 }
 
 // EdgeColoringScheduler greedily colors the original edges of g so that the
 // colors partition E into matchings, then cycles through the color classes.
 // Greedy coloring on a d-regular graph uses at most 2d−1 colors; structured
-// graphs typically end up near d (hypercubes exactly at d).
+// graphs typically end up near d (hypercubes exactly at d). Parallel copies
+// of an edge share one color.
 func EdgeColoringScheduler(g *graph.Graph) *PeriodicMatchings {
-	type edge struct{ u, v int }
-	colorOf := make(map[edge]int)
-	nodeColors := make([]map[int]bool, g.N())
-	for u := range nodeColors {
-		nodeColors[u] = make(map[int]bool, g.Degree())
-	}
+	d, heads := g.Degree(), g.Heads()
+	colorOf := make([]int, len(heads)) // 1 + color of a canonical arc, 0 if none
+	stride := 2 * d
+	used := make([]bool, g.N()*stride) // used[u*stride+c]: color c is taken at u
 	maxColor := 0
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if v < u {
-				continue
-			}
-			e := edge{u, v}
-			if _, done := colorOf[e]; done {
-				continue
-			}
-			c := 0
-			for nodeColors[u][c] || nodeColors[v][c] {
-				c++
-			}
-			colorOf[e] = c
-			nodeColors[u][c] = true
-			nodeColors[v][c] = true
-			if c+1 > maxColor {
-				maxColor = c + 1
+	for p, v := range heads {
+		u := p / d
+		if int(v) < u || colorOf[p] != 0 {
+			continue
+		}
+		c := 0
+		for used[u*stride+c] || used[int(v)*stride+c] {
+			c++
+		}
+		for q := p; q < (u+1)*d; q++ {
+			if heads[q] == v {
+				colorOf[q] = c + 1
 			}
 		}
+		used[u*stride+c] = true
+		used[int(v)*stride+c] = true
+		maxColor = max(maxColor, c+1)
 	}
-	rounds := make([][]graph.Arc, maxColor)
-	for u := 0; u < g.N(); u++ {
-		for i, v := range g.Neighbors(u) {
-			if v < u {
-				continue
-			}
-			c := colorOf[edge{u, v}]
-			rounds[c] = append(rounds[c], graph.Arc{From: u, Index: i})
+	rounds := make([][]int32, maxColor)
+	for p, c := range colorOf {
+		if c > 0 {
+			rounds[c-1] = append(rounds[c-1], int32(p))
 		}
 	}
 	return &PeriodicMatchings{Rounds: rounds}
@@ -91,7 +85,7 @@ type RandomMatchingScheduler struct {
 	g   *graph.Graph
 	rng *rand.Rand
 
-	arcs    []graph.Arc
+	arcs    []int32 // canonical arc positions, shuffled in place each round
 	matched []bool
 }
 
@@ -102,31 +96,28 @@ func NewRandomMatchingScheduler(g *graph.Graph, seed int64) *RandomMatchingSched
 		rng:     rand.New(rand.NewSource(seed)),
 		matched: make([]bool, g.N()),
 	}
-	for u := 0; u < g.N(); u++ {
-		for i, v := range g.Neighbors(u) {
-			if v > u {
-				s.arcs = append(s.arcs, graph.Arc{From: u, Index: i})
-			}
+	for p, v := range g.Heads() {
+		if int(v) > p/g.Degree() {
+			s.arcs = append(s.arcs, int32(p))
 		}
 	}
 	return s
 }
 
 // Matching implements MatchingScheduler.
-func (s *RandomMatchingScheduler) Matching(round int) []graph.Arc {
-	for i := range s.matched {
-		s.matched[i] = false
-	}
+func (s *RandomMatchingScheduler) Matching(round int) []int32 {
+	clear(s.matched)
 	s.rng.Shuffle(len(s.arcs), func(i, j int) { s.arcs[i], s.arcs[j] = s.arcs[j], s.arcs[i] })
-	out := make([]graph.Arc, 0, s.g.N()/2)
-	for _, a := range s.arcs {
-		v := s.g.Neighbor(a.From, a.Index)
-		if s.matched[a.From] || s.matched[v] {
+	heads, d := s.g.Heads(), s.g.Degree()
+	out := make([]int32, 0, s.g.N()/2)
+	for _, p := range s.arcs {
+		u, v := int(p)/d, heads[p]
+		if s.matched[u] || s.matched[v] {
 			continue
 		}
-		s.matched[a.From] = true
+		s.matched[u] = true
 		s.matched[v] = true
-		out = append(out, a)
+		out = append(out, p)
 	}
 	return out
 }
@@ -147,7 +138,7 @@ type MatchingBalancer struct {
 
 	b    *graph.Balancing
 	rng  *rand.Rand
-	plan [][]int64
+	plan []int64 // sends planned for the current round, by arc position
 }
 
 var _ core.Balancer = (*MatchingBalancer)(nil)
@@ -171,38 +162,24 @@ func (m *MatchingBalancer) Name() string {
 func (m *MatchingBalancer) Bind(b *graph.Balancing) []core.NodeBalancer {
 	m.b = b
 	m.rng = rand.New(rand.NewSource(m.Seed))
-	m.plan = make([][]int64, b.N())
-	for u := range m.plan {
-		m.plan[u] = make([]int64, b.Degree())
-	}
-	nodes := make([]core.NodeBalancer, b.N())
-	for u := range nodes {
-		nodes[u] = &matchingNode{m: m, u: u}
-	}
-	return nodes
+	m.plan = make([]int64, b.N()*b.Degree())
+	return planNodes(m.plan, b.Degree())
 }
 
 // BeginRound implements core.RoundObserver.
 func (m *MatchingBalancer) BeginRound(round int, loads []int64) {
-	for u := range m.plan {
-		for i := range m.plan[u] {
-			m.plan[u][i] = 0
-		}
-	}
+	clear(m.plan)
 	g := m.b.Graph()
-	for _, a := range m.Scheduler.Matching(round) {
-		u := a.From
-		v := g.Neighbor(u, a.Index)
+	heads, d := g.Heads(), g.Degree()
+	for _, p := range m.Scheduler.Matching(round) {
+		u, v := int(p)/d, heads[p]
 		diff := loads[u] - loads[v]
-		if diff == 0 {
-			continue
-		}
-		// Identify the reverse arc v -> u for transfers in that direction.
-		if diff > 0 {
-			m.plan[u][a.Index] = m.half(diff)
-		} else {
-			ri := reverseArcIndex(g, u, v, a.Index)
-			m.plan[v][ri] = m.half(-diff)
+		switch {
+		case diff > 0:
+			m.plan[p] = m.half(diff)
+		case diff < 0:
+			// Transfers toward u go over the reverse arc v -> u.
+			m.plan[reverseArcPos(g, int(p))] = m.half(-diff)
 		}
 	}
 }
@@ -216,49 +193,25 @@ func (m *MatchingBalancer) half(diff int64) int64 {
 	return h
 }
 
-// reverseArcIndex locates v's out-edge back to u. For parallel edges any one
-// of them works; the i-th is chosen to pair deterministically.
-func reverseArcIndex(g *graph.Graph, u, v, uIndex int) int {
-	// Count which parallel copy u->v this is, then take the matching copy.
+// reverseArcPos returns the position of the arc v -> u paired with the arc
+// at position p = u*d+i, whose head is v. For parallel edges the k-th copy
+// of u -> v pairs with the k-th copy of v -> u, deterministically.
+func reverseArcPos(g *graph.Graph, p int) int {
+	d, heads := g.Degree(), g.Heads()
+	u, v := p/d, heads[p]
 	copyNo := 0
-	for i := 0; i < uIndex; i++ {
-		if g.Neighbor(u, i) == v {
+	for q := u * d; q < p; q++ {
+		if heads[q] == v {
 			copyNo++
 		}
 	}
-	seen := 0
-	for i, w := range g.Neighbors(v) {
-		if w == u {
-			if seen == copyNo {
-				return i
+	for q := int(v) * d; q < int(v+1)*d; q++ {
+		if int(heads[q]) == u {
+			if copyNo == 0 {
+				return q
 			}
-			seen++
+			copyNo--
 		}
 	}
 	panic(fmt.Sprintf("balancer: no reverse arc %d->%d", v, u))
-}
-
-type matchingNode struct {
-	m *MatchingBalancer
-	u int
-}
-
-func (n *matchingNode) Distribute(load int64, sends, selfLoops []int64) {
-	copy(sends, n.m.plan[n.u])
-	if selfLoops == nil || len(selfLoops) == 0 {
-		return
-	}
-	var out int64
-	for _, s := range sends {
-		out += s
-	}
-	rest := load - out
-	base := core.FloorShare(rest, len(selfLoops))
-	extra := rest - base*int64(len(selfLoops))
-	for j := range selfLoops {
-		selfLoops[j] = base
-		if int64(j) < extra {
-			selfLoops[j]++
-		}
-	}
 }

@@ -18,12 +18,12 @@ func TestEdgeColoringIsProper(t *testing.T) {
 		total := 0
 		for round, arcs := range sched.Rounds {
 			seen := make(map[int]bool)
-			for _, a := range arcs {
-				v := g.Neighbor(a.From, a.Index)
-				if seen[a.From] || seen[v] {
+			for _, p := range arcs {
+				u, v := int(p)/g.Degree(), int(g.Heads()[p])
+				if seen[u] || seen[v] {
 					t.Fatalf("%s: color %d is not a matching", g.Name(), round)
 				}
-				seen[a.From] = true
+				seen[u] = true
 				seen[v] = true
 				total++
 			}
@@ -48,12 +48,12 @@ func TestRandomMatchingIsMatching(t *testing.T) {
 	for round := 1; round <= 20; round++ {
 		arcs := sched.Matching(round)
 		seen := make(map[int]bool)
-		for _, a := range arcs {
-			v := g.Neighbor(a.From, a.Index)
-			if seen[a.From] || seen[v] {
+		for _, p := range arcs {
+			u, v := int(p)/g.Degree(), int(g.Heads()[p])
+			if seen[u] || seen[v] {
 				t.Fatalf("round %d: not a matching", round)
 			}
-			seen[a.From] = true
+			seen[u] = true
 			seen[v] = true
 		}
 		// Greedy maximal matching on a connected graph matches ≥ n/3 nodes.
@@ -102,14 +102,21 @@ func TestRandomMatchingBalances(t *testing.T) {
 	}
 }
 
+// TestReverseArcIndex: every arc's reverse points back at its tail, and the
+// k-th parallel copy of u -> v pairs with the k-th copy of v -> u, so the
+// pairing is a bijection on a multigraph too.
 func TestReverseArcIndex(t *testing.T) {
-	g := graph.Petersen()
-	for u := 0; u < g.N(); u++ {
-		for i, v := range g.Neighbors(u) {
-			ri := reverseArcIndex(g, u, v, i)
-			if g.Neighbor(v, ri) != u {
-				t.Fatalf("reverse of (%d,%d) is (%d,%d) which points to %d",
-					u, i, v, ri, g.Neighbor(v, ri))
+	multi := graph.MustNew("multi", [][]int{{1, 1, 2}, {0, 3, 0}, {3, 0, 3}, {2, 1, 2}})
+	for _, g := range []*graph.Graph{graph.Petersen(), multi} {
+		d, heads := g.Degree(), g.Heads()
+		for p := range heads {
+			r := reverseArcPos(g, p)
+			if int(heads[r]) != p/d || r/d != int(heads[p]) {
+				t.Fatalf("%s: reverse of arc %d (%d->%d) is arc %d (%d->%d)",
+					g.Name(), p, p/d, heads[p], r, r/d, heads[r])
+			}
+			if back := reverseArcPos(g, r); back != p {
+				t.Fatalf("%s: reverse of reverse of arc %d is %d", g.Name(), p, back)
 			}
 		}
 	}

@@ -18,8 +18,8 @@ import (
 // single flat backing array of length n·d indexed by arc position p = u*d+i,
 // with per-node [][]int64 headers sub-slicing it for the NodeBalancer and
 // Auditor interfaces. The apply phase reads the graph's flat reverse index
-// (arc positions, not Arc structs), so one round is two linear passes over
-// contiguous memory. All state is allocated at construction; Step performs
+// of arc positions, so one round is two linear passes over contiguous
+// memory. All state is allocated at construction; Step performs
 // zero allocations.
 //
 // Scheduling: a round is one dispatch to a persistent worker pool — each

@@ -24,8 +24,8 @@ func (g *Graph) WriteDOT(w io.Writer, labels map[int]string) error {
 	}
 	// Render each undirected edge once; parallel edges keep multiplicity.
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if v >= u {
+		for _, v := range g.Neighbors(u) {
+			if int(v) >= u {
 				fmt.Fprintf(&sb, "  %d -- %d;\n", u, v)
 			}
 		}

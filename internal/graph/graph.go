@@ -6,6 +6,9 @@
 // (u, v) and (v, u). Each node stores an ordered list of its d out-neighbors;
 // the pair (u, i) — the i-th out-edge of node u — is the canonical identity of
 // an arc, which is what the cumulative-fairness definitions quantify over.
+// Because the graph is regular, an arc is named by its flat position
+// p = u*d + i, and every consumer (the engine, the fault overlay, the
+// matching schedulers, the spectral matvec) passes arcs around as positions.
 //
 // The balancing graph G+ adds d° self-loops per node. Self-loops are never
 // materialized as arcs: they exist only as the count SelfLoops on a Balancing
@@ -18,33 +21,24 @@ import (
 	"slices"
 )
 
-// Arc identifies a directed original edge as the Index-th out-edge of From.
-type Arc struct {
-	From  int
-	Index int
-}
-
 // Graph is a symmetric directed d-regular multigraph on n nodes.
 //
-// Invariants (checked by Validate):
+// Invariants (checked by New and Validate):
 //   - every node has exactly d out-neighbors,
 //   - the arc multiset is symmetric: the number of arcs u->v equals the
 //     number of arcs v->u for every pair (u, v),
 //   - no self-arcs (self-loops are modeled separately by Balancing).
 //
-// Because the graph is d-regular, the CSR offsets are implicit: the arc
-// (u, i) has flat position p = u*d + i, and the d entries for node u occupy
-// heads[u*d : (u+1)*d]. Both flat arrays are built once at construction and
-// are the representation the engine's hot loops and the spectral matvec run
-// on; the ragged adj is kept for the traversal helpers (BFS, Validate, ...).
+// The arcs are stored once, in CSR form with implicit offsets: the arc
+// (u, i) has position p = u*d + i, and node u's d out-neighbors occupy
+// heads[u*d : (u+1)*d]. The reverse index is kept in the same layout.
 type Graph struct {
 	name string
 	n    int
 	d    int
-	adj  [][]int
 
-	// heads is the CSR-style flat adjacency: heads[u*d+i] = adj[u][i]. One
-	// contiguous int32 array, 4 bytes per arc, indexed by arc position.
+	// heads is the CSR adjacency: heads[u*d+i] is the head of arc (u, i).
+	// One contiguous int32 array, 4 bytes per arc, indexed by arc position.
 	heads []int32
 
 	// revPos is the flat reverse index: revPos[v*d : (v+1)*d] lists, in
@@ -58,12 +52,6 @@ type Graph struct {
 	// quantities (e.g. the continuous diffusion inflow sum) avoid a
 	// division per arc.
 	revSrc []int32
-
-	// rev[v] lists the arcs (u, i) with adj[u][i] == v, i.e. the in-edges of
-	// v. For a valid symmetric regular graph len(rev[v]) == d. It is built
-	// lazily by ReverseIndex for callers that want Arc values; the engine
-	// itself uses the flat revPos.
-	rev [][]Arc
 
 	// nu2 is the analytically known second-largest eigenvalue of the
 	// normalized adjacency matrix A/d, when the family constructor can supply
@@ -86,56 +74,51 @@ func (g *Graph) SetNu2(nu2 float64) {
 // whether one was recorded.
 func (g *Graph) Nu2() (float64, bool) { return g.nu2, g.hasNu2 }
 
-// New constructs a graph from an adjacency list and validates it.
-// The adjacency slices are copied; the caller keeps ownership of adj.
+// New validates an adjacency list and flattens it into the graph's CSR
+// arrays. Row u lists u's out-neighbors in arc order; the caller keeps
+// ownership of adj, which the graph does not retain.
 func New(name string, adj [][]int) (*Graph, error) {
-	g := &Graph{name: name, n: len(adj)}
-	if g.n == 0 {
+	n := len(adj)
+	if n == 0 {
 		return nil, errors.New("graph: empty adjacency list")
 	}
-	g.d = len(adj[0])
-	g.adj = make([][]int, g.n)
-	for u := range adj {
-		g.adj[u] = append([]int(nil), adj[u]...)
+	d := len(adj[0])
+	if d == 0 {
+		return nil, fmt.Errorf("graph %s: degree must be positive, got 0", name)
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
+	for u, nbrs := range adj {
+		if len(nbrs) != d {
+			return nil, fmt.Errorf("graph %s: node %d has out-degree %d, want %d", name, u, len(nbrs), d)
+		}
 	}
-	if err := g.buildFlat(); err != nil {
-		return nil, err
+	if int64(n)*int64(d) > 1<<31-1 {
+		return nil, fmt.Errorf("graph %s: %d×%d arcs overflow the int32 flat index", name, n, d)
 	}
-	return g, nil
-}
-
-// buildFlat materializes the CSR arrays from the validated adjacency.
-func (g *Graph) buildFlat() error {
-	arcs := g.n * g.d
-	if int64(g.n)*int64(g.d) != int64(arcs) || arcs > 1<<31-1 {
-		return fmt.Errorf("graph %s: %d×%d arcs overflow the int32 flat index", g.name, g.n, g.d)
+	if err := CheckSymmetric(adj); err != nil {
+		return nil, fmt.Errorf("graph %s: %w", name, err)
 	}
-	g.heads = make([]int32, arcs)
-	g.revPos = make([]int32, arcs)
-	for u, nbrs := range g.adj {
-		base := u * g.d
-		for i, v := range nbrs {
-			g.heads[base+i] = int32(v)
+	g := &Graph{name: name, n: n, d: d, heads: make([]int32, 0, n*d)}
+	for _, nbrs := range adj {
+		for _, v := range nbrs {
+			g.heads = append(g.heads, int32(v))
 		}
 	}
 	// Every node has in-degree exactly d, so node v's reverse entries occupy
 	// revPos[v*d : (v+1)*d]; a single cursor pass fills them in arc order.
-	cursor := make([]int32, g.n)
+	g.revPos = make([]int32, n*d)
+	cursor := make([]int32, n)
 	for v := range cursor {
-		cursor[v] = int32(v * g.d)
+		cursor[v] = int32(v * d)
 	}
 	for p, v := range g.heads {
 		g.revPos[cursor[v]] = int32(p)
 		cursor[v]++
 	}
-	g.revSrc = make([]int32, arcs)
+	g.revSrc = make([]int32, n*d)
 	for k, p := range g.revPos {
-		g.revSrc[k] = p / int32(g.d)
+		g.revSrc[k] = p / int32(d)
 	}
-	return nil
+	return g, nil
 }
 
 // Heads returns the flat CSR adjacency: heads[u*d+i] is the head of the arc
@@ -170,46 +153,60 @@ func (g *Graph) N() int { return g.n }
 // Degree reports d, the uniform out- and in-degree.
 func (g *Graph) Degree() int { return g.d }
 
-// Neighbors returns the ordered out-neighbor list of u. The returned slice is
-// shared with the graph and must not be modified.
-func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
+// Neighbors returns the ordered out-neighbor list of u: the view
+// heads[u*d : (u+1)*d], whose i-th entry is the head of arc (u, i). The
+// returned slice is shared with the graph and must not be modified.
+func (g *Graph) Neighbors(u int) []int32 { return g.heads[u*g.d : (u+1)*g.d] }
 
-// Neighbor returns the head of the i-th out-edge of u.
-func (g *Graph) Neighbor(u, i int) int { return g.adj[u][i] }
-
-// Validate checks the Graph invariants listed on the type.
+// Validate re-checks the Graph invariants listed on the type against the
+// CSR store.
 func (g *Graph) Validate() error {
-	if g.n <= 0 {
-		return errors.New("graph: no nodes")
+	rows := make([][]int32, g.n)
+	for u := range rows {
+		rows[u] = g.Neighbors(u)
 	}
-	if g.d <= 0 {
-		return fmt.Errorf("graph %s: degree must be positive, got %d", g.name, g.d)
+	if err := CheckSymmetric(rows); err != nil {
+		return fmt.Errorf("graph %s: %w", g.name, err)
 	}
+	return nil
+}
+
+// CheckSymmetric checks that adj, row u listing node u's out-neighbors,
+// describes a symmetric directed multigraph without self-arcs: every
+// neighbor lies in [0, len(adj)), no node lists itself, and for every pair
+// the number of arcs u->v equals the number of arcs v->u. Rows may have any
+// length, so it serves regular and irregular graphs alike. The first error
+// found in arc order is reported, except that an asymmetry always names the
+// smallest pair (u, v) whose two directions have different counts, so the
+// message never depends on iteration order.
+func CheckSymmetric[T int | int32](adj [][]T) error {
+	n := len(adj)
 	// Pack each arc u->v as the key u<<32|v. The multiset is symmetric iff
 	// the sorted keys equal the sorted keys of the reversed arcs; at the
 	// first position where they differ, the smaller key is the smallest pair
-	// whose two directions have different counts. Sorting each node's d keys
+	// whose two directions have different counts. Sorting each node's keys
 	// sorts arcs, since the nodes come in order; bucketing the reversed keys
 	// by head, in that order, sorts rev.
-	arcs := make([]uint64, 0, g.n*g.d)
-	start := make([]int, g.n+1) // in-degree of v at start[v+1], then bucket starts
-	for u, nbrs := range g.adj {
-		if len(nbrs) != g.d {
-			return fmt.Errorf("graph %s: node %d has out-degree %d, want %d", g.name, u, len(nbrs), g.d)
-		}
+	total := 0
+	for _, nbrs := range adj {
+		total += len(nbrs)
+	}
+	arcs := make([]uint64, 0, total)
+	start := make([]int, n+1) // in-degree of v at start[v+1], then bucket starts
+	for u, nbrs := range adj {
 		for _, v := range nbrs {
-			if v < 0 || v >= g.n {
-				return fmt.Errorf("graph %s: node %d has neighbor %d out of range [0,%d)", g.name, u, v, g.n)
+			if v < 0 || int(v) >= n {
+				return fmt.Errorf("node %d has neighbor %d out of range [0,%d)", u, v, n)
 			}
-			if v == u {
-				return fmt.Errorf("graph %s: node %d has a self-arc; self-loops belong to Balancing", g.name, u)
+			if int(v) == u {
+				return fmt.Errorf("node %d has a self-arc; self-loops belong to Balancing", u)
 			}
 			arcs = append(arcs, uint64(u)<<32|uint64(v))
 			start[v+1]++
 		}
-		slices.Sort(arcs[len(arcs)-g.d:])
+		slices.Sort(arcs[len(arcs)-len(nbrs):])
 	}
-	for v := 0; v < g.n; v++ {
+	for v := 0; v < n; v++ {
 		start[v+1] += start[v]
 	}
 	rev := make([]uint64, len(arcs))
@@ -224,8 +221,8 @@ func (g *Graph) Validate() error {
 		}
 		k = min(k, rev[i])
 		u, v := int(k>>32), int(k&(1<<32-1))
-		return fmt.Errorf("graph %s: asymmetric arc multiset: %d arcs %d->%d but %d arcs %d->%d",
-			g.name, countKey(arcs, k), u, v, countKey(rev, k), v, u)
+		return fmt.Errorf("asymmetric arc multiset: %d arcs %d->%d but %d arcs %d->%d",
+			countKey(arcs, k), u, v, countKey(rev, k), v, u)
 	}
 	return nil
 }
@@ -235,26 +232,6 @@ func countKey(keys []uint64, k uint64) int {
 	lo, _ := slices.BinarySearch(keys, k)
 	hi, _ := slices.BinarySearch(keys, k+1)
 	return hi - lo
-}
-
-// ReverseIndex returns, for every node v, the list of arcs whose head is v.
-// The index is computed once and cached; the result is shared and must not be
-// modified.
-func (g *Graph) ReverseIndex() [][]Arc {
-	if g.rev != nil {
-		return g.rev
-	}
-	rev := make([][]Arc, g.n)
-	for v := range rev {
-		rev[v] = make([]Arc, 0, g.d)
-	}
-	for u, nbrs := range g.adj {
-		for i, v := range nbrs {
-			rev[v] = append(rev[v], Arc{From: u, Index: i})
-		}
-	}
-	g.rev = rev
-	return rev
 }
 
 // BFS returns the vector of shortest-path distances from src. Unreachable
@@ -270,10 +247,10 @@ func (g *Graph) BFS(src int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+				queue = append(queue, int(v))
 			}
 		}
 	}
@@ -333,11 +310,11 @@ func (g *Graph) IsBipartite() bool {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, v := range g.adj[u] {
+			for _, v := range g.Neighbors(u) {
 				switch color[v] {
 				case 0:
 					color[v] = 3 - color[u]
-					queue = append(queue, v)
+					queue = append(queue, int(v))
 				case color[u]:
 					return false
 				}
@@ -349,58 +326,40 @@ func (g *Graph) IsBipartite() bool {
 
 // OddGirth returns the length of the shortest odd cycle, or 0 if the graph is
 // bipartite. Theorem 4.3 expresses its ROTOR-ROUTER lower bound in terms of
-// φ(G) where 2φ(G)+1 is the odd girth.
-//
-// The implementation runs a BFS from every node on the bipartite double cover:
-// state (v, parity). The shortest closed odd walk through a node equals the
-// shortest odd cycle length when minimized over all nodes.
+// φ(G) where 2φ(G)+1 is the odd girth. The shortest closed odd walk through
+// a node, minimized over all nodes, is the shortest odd cycle length.
 func (g *Graph) OddGirth() int {
-	best := -1
-	distEven := make([]int, g.n)
-	distOdd := make([]int, g.n)
+	best := 0
 	for src := 0; src < g.n; src++ {
-		for i := 0; i < g.n; i++ {
-			distEven[i] = -1
-			distOdd[i] = -1
+		if w := g.OddClosedWalk(src); w > 0 && (best == 0 || w < best) {
+			best = w
 		}
-		distEven[src] = 0
-		type state struct {
-			v      int
-			parity int8
-		}
-		queue := []state{{src, 0}}
-		for len(queue) > 0 {
-			s := queue[0]
-			queue = queue[1:]
-			var du int
-			if s.parity == 0 {
-				du = distEven[s.v]
-			} else {
-				du = distOdd[s.v]
-			}
-			for _, v := range g.adj[s.v] {
-				np := 1 - s.parity
-				if np == 0 {
-					if distEven[v] < 0 {
-						distEven[v] = du + 1
-						queue = append(queue, state{v, np})
-					}
-				} else {
-					if distOdd[v] < 0 {
-						distOdd[v] = du + 1
-						queue = append(queue, state{v, np})
-					}
-				}
-			}
-		}
-		if distOdd[src] > 0 && (best < 0 || distOdd[src] < best) {
-			best = distOdd[src]
-		}
-	}
-	if best < 0 {
-		return 0
 	}
 	return best
+}
+
+// OddClosedWalk returns the length of the shortest odd closed walk through
+// src, or -1 if none exists (the graph is bipartite). It runs a BFS on the
+// bipartite double cover, whose states are (v, parity).
+func (g *Graph) OddClosedWalk(src int) int {
+	dist := make([]int, 2*g.n) // dist[2v+parity]
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[2*src] = 0
+	queue := []int{2 * src}
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		np := 1 - s%2
+		for _, v := range g.Neighbors(s / 2) {
+			if t := 2*int(v) + np; dist[t] < 0 {
+				dist[t] = dist[s] + 1
+				queue = append(queue, t)
+			}
+		}
+	}
+	return dist[2*src+1]
 }
 
 // Phi returns the parameter φ(G) of Theorem 4.3, defined by odd girth

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -63,7 +64,7 @@ func TestNewCopiesAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	adj[0][0] = 99
-	if g.Neighbor(0, 0) != 1 {
+	if g.Neighbors(0)[0] != 1 {
 		t.Fatal("graph must copy the adjacency input")
 	}
 }
@@ -194,7 +195,7 @@ func TestCliqueCirculantHasClique(t *testing.T) {
 			}
 			found := false
 			for _, w := range g.Neighbors(u) {
-				if w == v {
+				if int(w) == v {
 					found = true
 				}
 			}
@@ -260,7 +261,7 @@ func TestRandomRegularValid(t *testing.T) {
 		}
 		// Simplicity: no repeated neighbors.
 		for u := 0; u < g.N(); u++ {
-			seen := map[int]bool{}
+			seen := map[int32]bool{}
 			for _, v := range g.Neighbors(u) {
 				if seen[v] {
 					t.Fatalf("(%d,%d): parallel edge at %d", tc.n, tc.d, u)
@@ -274,24 +275,11 @@ func TestRandomRegularValid(t *testing.T) {
 func TestRandomRegularDeterministic(t *testing.T) {
 	a := RandomRegular(64, 6, 42)
 	b := RandomRegular(64, 6, 42)
-	for u := 0; u < a.N(); u++ {
-		for i := 0; i < a.Degree(); i++ {
-			if a.Neighbor(u, i) != b.Neighbor(u, i) {
-				t.Fatal("same seed must give the same graph")
-			}
-		}
+	if !slices.Equal(a.Heads(), b.Heads()) {
+		t.Fatal("same seed must give the same graph")
 	}
 	c := RandomRegular(64, 6, 43)
-	same := true
-	for u := 0; u < a.N() && same; u++ {
-		for i := 0; i < a.Degree(); i++ {
-			if a.Neighbor(u, i) != c.Neighbor(u, i) {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
+	if slices.Equal(a.Heads(), c.Heads()) {
 		t.Fatal("different seeds produced identical graphs (suspicious)")
 	}
 }
@@ -319,18 +307,29 @@ func TestBFSAndEccentricity(t *testing.T) {
 	}
 }
 
+// TestReverseIndexConsistent checks the flat reverse index: every node has
+// in-degree d, and its in-arc positions are strictly ascending and all point
+// at it.
 func TestReverseIndexConsistent(t *testing.T) {
 	gs := []*Graph{Cycle(12), Hypercube(4), Petersen(), RandomRegular(48, 4, 3)}
 	for _, g := range gs {
-		rev := g.ReverseIndex()
-		for v := range rev {
-			if len(rev[v]) != g.Degree() {
-				t.Fatalf("%s: in-degree of %d is %d", g.Name(), v, len(rev[v]))
+		d, heads, revPos := g.Degree(), g.Heads(), g.RevArcPos()
+		inDeg := make([]int, g.N())
+		for _, v := range heads {
+			inDeg[v]++
+		}
+		for v := 0; v < g.N(); v++ {
+			if inDeg[v] != d {
+				t.Fatalf("%s: in-degree of %d is %d", g.Name(), v, inDeg[v])
 			}
-			for _, a := range rev[v] {
-				if g.Neighbor(a.From, a.Index) != v {
-					t.Fatalf("%s: reverse index arc (%d,%d) does not point to %d",
-						g.Name(), a.From, a.Index, v)
+			in := revPos[v*d : (v+1)*d]
+			for k, p := range in {
+				if int(heads[p]) != v {
+					t.Fatalf("%s: reverse index arc %d (%d,%d) does not point to %d",
+						g.Name(), p, int(p)/d, int(p)%d, v)
+				}
+				if k > 0 && in[k-1] >= p {
+					t.Fatalf("%s: in-arcs of %d not ascending: %v", g.Name(), v, in)
 				}
 			}
 		}
@@ -356,6 +355,21 @@ func TestOddGirthProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOddClosedWalk: on vertex-transitive graphs every source attains the
+// odd girth, and a bipartite graph has no odd closed walk at all.
+func TestOddClosedWalk(t *testing.T) {
+	for _, tc := range []struct {
+		g    *Graph
+		want int
+	}{{Petersen(), 5}, {Cycle(7), 7}, {Complete(4), 3}, {Hypercube(3), -1}} {
+		for src := 0; src < tc.g.N(); src++ {
+			if got := tc.g.OddClosedWalk(src); got != tc.want {
+				t.Fatalf("%s: OddClosedWalk(%d) = %d, want %d", tc.g.Name(), src, got, tc.want)
+			}
+		}
 	}
 }
 

@@ -19,6 +19,8 @@ package irregular
 import (
 	"errors"
 	"fmt"
+
+	"detlb/internal/graph"
 )
 
 // Graph is a symmetric directed multigraph with arbitrary per-node degrees
@@ -34,31 +36,18 @@ type arc struct {
 	index int
 }
 
-// New validates and copies an adjacency list: every arc must have a
-// symmetric partner and no node may list itself.
+// New validates and copies an adjacency list with graph.CheckSymmetric:
+// every arc must have a symmetric partner and no node may list itself.
 func New(name string, adj [][]int) (*Graph, error) {
 	if len(adj) == 0 {
 		return nil, errors.New("irregular: empty adjacency list")
 	}
+	if err := graph.CheckSymmetric(adj); err != nil {
+		return nil, fmt.Errorf("irregular %s: %w", name, err)
+	}
 	g := &Graph{name: name, adj: make([][]int, len(adj))}
-	type pair struct{ u, v int }
-	count := make(map[pair]int)
 	for u := range adj {
 		g.adj[u] = append([]int(nil), adj[u]...)
-		for _, v := range adj[u] {
-			if v < 0 || v >= len(adj) {
-				return nil, fmt.Errorf("irregular: node %d lists neighbor %d out of range", u, v)
-			}
-			if v == u {
-				return nil, fmt.Errorf("irregular: node %d lists itself", u)
-			}
-			count[pair{u, v}]++
-		}
-	}
-	for p, c := range count {
-		if count[pair{p.v, p.u}] != c {
-			return nil, fmt.Errorf("irregular: asymmetric arcs between %d and %d", p.u, p.v)
-		}
 	}
 	return g, nil
 }

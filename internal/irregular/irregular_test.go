@@ -52,6 +52,19 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewAsymmetricErrorIsDeterministic: with several asymmetric pairs the
+// error names the smallest one, the same on every call.
+func TestNewAsymmetricErrorIsDeterministic(t *testing.T) {
+	// 0->1 twice but 1->0 once; 0->2 once but 2->0 twice.
+	adj := [][]int{{1, 1, 2}, {0}, {0, 0}}
+	const want = "irregular asym: asymmetric arc multiset: 2 arcs 0->1 but 1 arcs 1->0"
+	for i := 0; i < 100; i++ {
+		if _, err := New("asym", adj); err == nil || err.Error() != want {
+			t.Fatalf("call %d: got %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestStarBasics(t *testing.T) {
 	g := star(5)
 	if g.Degree(0) != 5 || g.Degree(3) != 1 {

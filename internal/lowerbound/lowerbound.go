@@ -152,16 +152,13 @@ func StatelessTrap(alg core.Balancer, n, d, rounds int) (*StatelessTrapResult, e
 // otherwise, with b the BFS distance from a vertex on a shortest odd cycle.
 // baseline L must be ≥ φ(G) to keep all flows non-negative.
 func RotorAlternatingInstance(g *graph.Graph, baseline int64) (*balancer.RotorRouter, []int64, error) {
-	phi := g.Phi()
-	if phi == 0 {
+	src, girth := oddCycleVertex(g)
+	if girth == 0 {
 		return nil, nil, fmt.Errorf("lowerbound: %s is bipartite; theorem 4.3 needs odd girth", g.Name())
 	}
+	phi := (girth - 1) / 2
 	if baseline < int64(phi) {
 		return nil, nil, fmt.Errorf("lowerbound: baseline L=%d below φ(G)=%d would create negative flows", baseline, phi)
-	}
-	src, err := oddCycleVertex(g)
-	if err != nil {
-		return nil, nil, err
 	}
 	dist := g.BFS(src)
 
@@ -229,53 +226,14 @@ func flowValue(baseline int64, phi, bv, bw int) int64 {
 	return baseline - dev
 }
 
-// oddCycleVertex returns a vertex lying on a shortest odd closed walk, i.e.
-// one whose odd eccentricity equals the odd girth.
-func oddCycleVertex(g *graph.Graph) (int, error) {
-	target := g.OddGirth()
-	if target == 0 {
-		return 0, fmt.Errorf("lowerbound: graph %s is bipartite", g.Name())
-	}
-	for src := 0; src < g.N(); src++ {
-		if oddClosedWalk(g, src) == target {
-			return src, nil
+// oddCycleVertex returns the first vertex lying on a shortest odd closed
+// walk, i.e. the first source whose odd closed walk attains the odd girth,
+// together with that girth (0 if the graph is bipartite).
+func oddCycleVertex(g *graph.Graph) (src, girth int) {
+	for v := 0; v < g.N(); v++ {
+		if w := g.OddClosedWalk(v); w > 0 && (girth == 0 || w < girth) {
+			src, girth = v, w
 		}
 	}
-	return 0, fmt.Errorf("lowerbound: no vertex attains odd girth %d on %s", target, g.Name())
-}
-
-// oddClosedWalk returns the length of the shortest odd closed walk through
-// src (BFS on the parity double cover), or -1 if none exists.
-func oddClosedWalk(g *graph.Graph, src int) int {
-	distEven := make([]int, g.N())
-	distOdd := make([]int, g.N())
-	for i := range distEven {
-		distEven[i] = -1
-		distOdd[i] = -1
-	}
-	distEven[src] = 0
-	type state struct {
-		v      int
-		parity int8
-	}
-	queue := []state{{src, 0}}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		du := distEven[s.v]
-		if s.parity == 1 {
-			du = distOdd[s.v]
-		}
-		for _, w := range g.Neighbors(s.v) {
-			np := 1 - s.parity
-			if np == 0 && distEven[w] < 0 {
-				distEven[w] = du + 1
-				queue = append(queue, state{w, np})
-			} else if np == 1 && distOdd[w] < 0 {
-				distOdd[w] = du + 1
-				queue = append(queue, state{w, np})
-			}
-		}
-	}
-	return distOdd[src]
+	return src, girth
 }

@@ -93,14 +93,13 @@ func (s *Server) verifyDue() bool {
 // instant for the hit-latency histogram.
 func (s *Server) serveCacheHit(run *run, resultJSON []byte, start time.Time) {
 	failures := s.hitFailures(run.digest, resultJSON)
-	run.finish(StatusDone, resultJSON, failures, archiveHit, "")
+	s.metrics.cacheHits.Inc()
+	//detcheck:allow wallclock cache-hit latency telemetry for the /metrics histogram; never enters a result document
+	s.metrics.hitSeconds.Observe(time.Since(start).Seconds())
+	s.finishRun(run, time.Time{}, StatusDone, resultJSON, failures, archiveHit, "")
 	// Detach the (never-executed) run context from baseCtx so completed
 	// hits don't accumulate on the server context.
 	run.cancel(errors.New("run finished"))
-	s.metrics.cacheHits.Inc()
-	s.metrics.runsDone.Inc()
-	//detcheck:allow wallclock cache-hit latency telemetry for the /metrics histogram; never enters a result document
-	s.metrics.hitSeconds.Observe(time.Since(start).Seconds())
 	s.log.Printf("run %s cache hit: scenario %s", run.id, run.digest[:12])
 }
 
@@ -135,7 +134,7 @@ func (s *Server) recordHitFailures(digest string, failures int) {
 	s.hitMu.Unlock()
 }
 
-// removeFlight clears the single-flight slot once its leader is terminal.
+// removeFlight clears the single-flight slot if leader holds it.
 func (s *Server) removeFlight(leader *run) {
 	s.acceptMu.Lock()
 	if s.flights[leader.digest] == leader {
@@ -158,17 +157,13 @@ func (s *Server) follow(follower, leader *run) {
 		case StatusDone:
 			// Served from the leader's fresh execution — an in-flight
 			// memoization hit.
-			follower.finish(StatusDone, resultJSON, failures, archiveHit, "")
-			s.metrics.runsDone.Inc()
+			s.finishRun(follower, time.Time{}, StatusDone, resultJSON, failures, archiveHit, "")
 		case StatusCanceled:
-			follower.finish(StatusCanceled, nil, 0, "", errMsg)
-			s.metrics.runsCanceled.Inc()
+			s.finishRun(follower, time.Time{}, StatusCanceled, nil, 0, "", errMsg)
 		default:
-			follower.finish(StatusFailed, resultJSON, failures, "", errMsg)
-			s.metrics.runsFailed.Inc()
+			s.finishRun(follower, time.Time{}, StatusFailed, resultJSON, failures, "", errMsg)
 		}
 	case <-follower.ctx.Done():
-		follower.finish(StatusCanceled, nil, 0, "", cancelMsg(follower.ctx))
-		s.metrics.runsCanceled.Inc()
+		s.finishRun(follower, time.Time{}, StatusCanceled, nil, 0, "", cancelMsg(follower.ctx))
 	}
 }

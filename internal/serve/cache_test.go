@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,6 +21,12 @@ import (
 // metrics are fatal: the exposition always carries every registered name.
 func metricValue(t *testing.T, base, name string) float64 {
 	t.Helper()
+	return scrapeMetrics(t, base, name)[0]
+}
+
+// scrapeMetrics reads the named unlabelled metrics from one GET /metrics.
+func scrapeMetrics(t *testing.T, base string, names ...string) []float64 {
+	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -28,19 +35,27 @@ func metricValue(t *testing.T, base, name string) float64 {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /metrics: %d", resp.StatusCode)
 	}
+	values := map[string]float64{}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
-		if len(fields) == 2 && fields[0] == name {
+		if len(fields) == 2 {
 			v, err := strconv.ParseFloat(fields[1], 64)
 			if err != nil {
-				t.Fatalf("metric %s: %v", name, err)
+				t.Fatalf("metric %s: %v", fields[0], err)
 			}
-			return v
+			values[fields[0]] = v
 		}
 	}
-	t.Fatalf("metric %s not exposed", name)
-	return 0
+	out := make([]float64, len(names))
+	for i, name := range names {
+		v, ok := values[name]
+		if !ok {
+			t.Fatalf("metric %s not exposed", name)
+		}
+		out[i] = v
+	}
+	return out
 }
 
 // runSummary fetches one run's registry summary.
@@ -371,12 +386,24 @@ func TestInfoEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsExposition: /metrics speaks the Prometheus text format and the
-// lifecycle counters move with real traffic.
+// TestMetricsExposition checks the Prometheus text format and that the
+// executor records every run metric before the result becomes visible: a
+// scrape straight after each ?wait=1 response counts exactly the runs so
+// far and no busy executor.
 func TestMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t, Config{ArchiveDir: t.TempDir()})
-	sum := postScenario(t, ts.URL, testFamily(t))
-	waitResult(t, ts.URL, sum.ID)
+	for i := 1; i <= 5; i++ {
+		fam := testFamily(t)
+		fam.Run.Rounds = 40 + i // a new fingerprint, so every POST executes
+		sum := postScenario(t, ts.URL, fam)
+		if code, body := waitResult(t, ts.URL, sum.ID); code != http.StatusOK {
+			t.Fatalf("run %d: result %d: %s", i, code, body)
+		}
+		got := scrapeMetrics(t, ts.URL, "lbserve_run_seconds_count", "lbserve_runs_done_total", "lbserve_executors_busy")
+		if want := []float64{float64(i), float64(i), 0}; !slices.Equal(got, want) {
+			t.Fatalf("after run %d: run_seconds_count, runs_done_total, executors_busy = %v, want %v", i, got, want)
+		}
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -391,9 +418,6 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE lbserve_runs_accepted_total counter",
 		"# TYPE lbserve_queue_depth gauge",
 		"# TYPE lbserve_run_seconds histogram",
-		"lbserve_run_seconds_count 1",
-		"lbserve_runs_done_total 1",
-		"lbserve_executors_busy 0",
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)

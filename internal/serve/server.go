@@ -751,10 +751,6 @@ func (s *Server) admit(fam *scenario.Family) error {
 // on the sweep harness with its engine-reuse grouping intact.
 func (s *Server) execute(run *run) {
 	defer s.runs.done()
-	// Clear this execution's single-flight slot so later POSTs of the same
-	// fingerprint start fresh (or hit the archive) instead of following a
-	// terminal leader.
-	defer s.removeFlight(run)
 	// Release the run's context from baseCtx's children once it is over —
 	// without this every completed run would stay registered on the server
 	// context for the daemon's lifetime.
@@ -763,36 +759,28 @@ func (s *Server) execute(run *run) {
 	case s.sem <- struct{}{}:
 	case <-run.ctx.Done():
 		s.metrics.queueDepth.Dec()
-		run.finish(StatusCanceled, nil, 0, "", cancelMsg(run.ctx))
-		s.metrics.runsCanceled.Inc()
+		s.finishRun(run, time.Time{}, StatusCanceled, nil, 0, "", cancelMsg(run.ctx))
 		s.log.Printf("run %s canceled while queued", run.id)
 		return
 	}
 	defer func() { <-s.sem }()
 	s.metrics.queueDepth.Dec()
 	s.metrics.executorsBusy.Inc()
-	defer s.metrics.executorsBusy.Dec()
 	s.metrics.runsExecuted.Inc()
 	//detcheck:allow wallclock executor latency telemetry for the /metrics histograms; never enters a result document
 	slotAt := time.Now()
 	s.metrics.queueSeconds.Observe(slotAt.Sub(run.created).Seconds())
-	defer func() {
-		//detcheck:allow wallclock executor latency telemetry for the /metrics histograms; never enters a result document
-		s.metrics.runSeconds.Observe(time.Since(slotAt).Seconds())
-	}()
 
 	run.setRunning()
 	specs, err := scenario.BindScenarios(run.cells)
 	if err != nil {
 		// Unreachable in practice: the family bound once at POST time.
-		run.finish(StatusFailed, nil, 0, "", err.Error())
-		s.metrics.runsFailed.Inc()
+		s.finishRun(run, slotAt, StatusFailed, nil, 0, "", err.Error())
 		return
 	}
 	results := analysis.SweepContext(run.ctx, specs, analysis.SweepOptions{Workers: s.cfg.SweepWorkers})
 	if sweepCanceled(run.ctx, results) {
-		run.finish(StatusCanceled, nil, 0, "", cancelMsg(run.ctx))
-		s.metrics.runsCanceled.Inc()
+		s.finishRun(run, slotAt, StatusCanceled, nil, 0, "", cancelMsg(run.ctx))
 		s.log.Printf("run %s canceled", run.id)
 		return
 	}
@@ -802,8 +790,7 @@ func (s *Server) execute(run *run) {
 	}
 	resultJSON, failures, err := archive.BuildResultDoc(run.family.Name, run.digest, metas, specs, results)
 	if err != nil {
-		run.finish(StatusFailed, nil, failures, "", err.Error())
-		s.metrics.runsFailed.Inc()
+		s.finishRun(run, slotAt, StatusFailed, nil, failures, "", err.Error())
 		return
 	}
 	archived := ""
@@ -817,24 +804,21 @@ func (s *Server) execute(run *run) {
 			// The entry predates the current result version: the run is
 			// good, the stored entry stays as it is, and no mismatch is
 			// counted. The index keeps describing the stored bytes.
-			run.finish(StatusDone, resultJSON, failures, archiveStale, "")
-			s.metrics.runsDone.Inc()
+			s.finishRun(run, slotAt, StatusDone, resultJSON, failures, archiveStale, "")
 			s.log.Printf("run %s done: %d cells, %d failures, archive stale: %v",
 				run.id, len(run.cells), failures, err)
 			return
 		case errors.Is(err, archive.ErrMismatch):
 			// Keep the divergent document: it is the evidence of the
 			// regression, served with 409 by the result endpoint.
-			run.finish(StatusFailed, resultJSON, failures, "", err.Error())
-			s.metrics.runsFailed.Inc()
 			s.metrics.archiveMismatches.Inc()
+			s.finishRun(run, slotAt, StatusFailed, resultJSON, failures, "", err.Error())
 			s.log.Printf("run %s: ARCHIVE MISMATCH: %v", run.id, err)
 			return
 		default:
 			// An I/O failure, not a reproducibility signal: fail the run
 			// plainly — its archived-result contract cannot be honored.
-			run.finish(StatusFailed, nil, failures, "", err.Error())
-			s.metrics.runsFailed.Inc()
+			s.finishRun(run, slotAt, StatusFailed, nil, failures, "", err.Error())
 			s.log.Printf("run %s: archive write failed: %v", run.id, err)
 			return
 		}
@@ -849,10 +833,35 @@ func (s *Server) execute(run *run) {
 		// never re-parse the result document.
 		s.recordHitFailures(run.digest, failures)
 	}
-	run.finish(StatusDone, resultJSON, failures, archived, "")
-	s.metrics.runsDone.Inc()
+	s.finishRun(run, slotAt, StatusDone, resultJSON, failures, archived, "")
 	s.log.Printf("run %s done: %d cells, %d failures, archive %s",
 		run.id, len(run.cells), failures, orDash(archived))
+}
+
+// finishRun publishes a run's terminal state with run.finish, after
+// everything that follows from it: the run's metrics are recorded and, if it
+// leads an execution, its single-flight slot is cleared, so a later POST of
+// the same fingerprint starts fresh (or hits the archive) instead of
+// following a terminal leader. A client that saw the result, by ?wait=1 or
+// a stream, then finds both already done. slotAt is when the run took an
+// executor slot, or the zero time if it never held one (canceled while
+// queued, a follower or a cache hit).
+func (s *Server) finishRun(run *run, slotAt time.Time, status RunStatus, resultJSON []byte, failures int, archived, errMsg string) {
+	if !slotAt.IsZero() {
+		//detcheck:allow wallclock executor latency telemetry for the /metrics histograms; never enters a result document
+		s.metrics.runSeconds.Observe(time.Since(slotAt).Seconds())
+		s.metrics.executorsBusy.Dec()
+	}
+	switch status {
+	case StatusDone:
+		s.metrics.runsDone.Inc()
+	case StatusFailed:
+		s.metrics.runsFailed.Inc()
+	case StatusCanceled:
+		s.metrics.runsCanceled.Inc()
+	}
+	s.removeFlight(run)
+	run.finish(status, resultJSON, failures, archived, errMsg)
 }
 
 // sweepCanceled reports whether the sweep actually stopped for the run's

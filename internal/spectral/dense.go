@@ -49,15 +49,15 @@ func denseTransition(b *graph.Balancing, alive []bool) *Dense {
 	n := b.N()
 	m := NewDense(n)
 	dplus := float64(b.DegreePlus())
-	g := b.Graph()
-	for u, p := 0, 0; u < n; u++ {
+	heads, d := b.Graph().Heads(), b.Degree()
+	for u := 0; u < n; u++ {
 		m.Set(u, u, float64(b.SelfLoops())/dplus)
-		for _, v := range g.Neighbors(u) {
+		for p := u * d; p < (u+1)*d; p++ {
+			v := int(heads[p])
 			if alive != nil && !alive[p] {
 				v = u
 			}
 			m.Set(u, v, m.At(u, v)+1/dplus)
-			p++
 		}
 	}
 	return m

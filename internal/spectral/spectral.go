@@ -58,7 +58,7 @@ func (op *Operator) Entry(u, v int) float64 {
 	}
 	cnt := 0
 	for _, w := range op.b.Graph().Neighbors(u) {
-		if w == v {
+		if int(w) == v {
 			cnt++
 		}
 	}

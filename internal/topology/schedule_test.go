@@ -65,7 +65,7 @@ func TestPeriodicPairsFailWithRestore(t *testing.T) {
 	for r, l := range fails {
 		found := false
 		for _, v := range g.Neighbors(l[0]) {
-			if v == l[1] {
+			if int(v) == l[1] {
 				found = true
 			}
 		}

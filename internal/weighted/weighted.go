@@ -151,9 +151,8 @@ func (e *Engine) Step() {
 				u, len(out), g.Degree()))
 		}
 		e.nodes[u] = kept
-		for i, bucket := range out {
-			v := g.Neighbor(u, i)
-			e.inbox[v] = append(e.inbox[v], bucket...)
+		for i, v := range g.Neighbors(u) {
+			e.inbox[v] = append(e.inbox[v], out[i]...)
 		}
 	}
 	for u := range e.nodes {
