@@ -411,6 +411,31 @@ func BenchmarkStepGoodS(b *testing.B) { benchStep(b, detlb.NewGoodS(4), 0) }
 // continuous process each round).
 func BenchmarkStepContinuousMimic(b *testing.B) { benchStep(b, detlb.NewContinuousMimic(), 0) }
 
+// benchStepHypercube12 measures one serial round on hypercube:12 (4096 nodes,
+// lazy) from uniform random loads in [0, 1024]: one cell of perfbench's
+// kernel-hypercube workload.
+func benchStepHypercube12(b *testing.B, algo detlb.Balancer) {
+	g := detlb.Hypercube(12)
+	eng := detlb.MustEngine(detlb.Lazy(g), algo, detlb.RandomLoad(g.N(), 1024, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStepHypercube12RotorRouter is kernel-hypercube's critical cell.
+func BenchmarkStepHypercube12RotorRouter(b *testing.B) {
+	benchStepHypercube12(b, detlb.NewRotorRouter())
+}
+
+// BenchmarkStepHypercube12SendFloor is kernel-hypercube's other cell.
+func BenchmarkStepHypercube12SendFloor(b *testing.B) {
+	benchStepHypercube12(b, detlb.NewSendFloor())
+}
+
 // BenchmarkStepAudited measures a rotor-router round with the full auditor
 // stack attached — the overhead of checking the paper's invariants.
 func BenchmarkStepAudited(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"detlb/internal/balancer"
 	"detlb/internal/core"
 	"detlb/internal/graph"
 	"detlb/internal/topology"
@@ -150,5 +151,178 @@ func TestInjectorModelTakesWorkloadSchedules(t *testing.T) {
 	spec.Topology = topology.Partition{Round: 1, Boundary: 8}
 	if res := Run(spec); res.Err == nil {
 		t.Fatal("topology schedule accepted on a model without core.Faultable")
+	}
+}
+
+// TestEngineRecurrentOptOuts: the engine claims core.Recurrent only on the
+// bulk path with nothing that hides state from its loads and rotor words.
+func TestEngineRecurrentOptOuts(t *testing.T) {
+	g := graph.Hypercube(4)
+	b := graph.Lazy(g)
+	x1 := workload.PointMass(g.N(), 0, 1000)
+	build := func(algo core.Balancer, opts ...core.Option) *core.Engine {
+		t.Helper()
+		eng, err := core.NewEngine(b, algo, x1, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(eng.Close)
+		return eng
+	}
+	for _, algo := range []core.Balancer{
+		balancer.NewSendFloor(), balancer.NewSendRound(), balancer.NewBiasedRounding(),
+		balancer.NewRotorRouter(), balancer.NewGoodS(2),
+	} {
+		if !build(algo).Recurrent() {
+			t.Errorf("%s: bulk engine is not Recurrent", algo.Name())
+		}
+	}
+	order := make([][]int, g.N())
+	for u := range order {
+		order[u] = []int{7, 6, 5, 4, 3, 2, 1, 0}
+	}
+	for _, tc := range []struct {
+		name string
+		eng  *core.Engine
+	}{
+		{"auditor", build(balancer.NewRotorRouter(), core.WithAuditor(core.NewConservationAuditor()))},
+		{"flow tracking", build(balancer.NewSendFloor(), core.WithFlowTracking())},
+		{"bounded-error", build(balancer.NewBoundedError())},
+		{"matching", build(balancer.NewMatchingBalancer(balancer.EdgeColoringScheduler(g), false, 1))},
+		{"mimic", build(balancer.NewContinuousMimic())},
+		{"per-node rotor-router", build(&balancer.RotorRouter{Order: order})},
+	} {
+		if tc.eng.Recurrent() {
+			t.Errorf("%s: engine claims Recurrent", tc.name)
+		}
+	}
+
+	eng := build(balancer.NewRotorRouter())
+	if _, err := eng.ApplyTopologyDelta(core.TopologyDelta{FailLinks: [][2]int{{0, 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Recurrent() {
+		t.Error("faulted engine claims Recurrent")
+	}
+	if err := eng.Reset(x1); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.Recurrent() {
+		t.Error("reset engine is not Recurrent again")
+	}
+}
+
+// runStepped runs spec on m through the round loop and reports how many
+// rounds m actually stepped.
+func runStepped(spec RunSpec, m core.Model) (RunResult, int) {
+	res, _ := prepareResult(spec)
+	res = runContext(context.Background(), spec, m, res)
+	return res, m.Round()
+}
+
+// TestResetEngineFindsCyclesAgain: an engine reused through Reset, as the
+// sweep reuses it, fast-forwards every run, after a faulted run too, and
+// every run equals the same spec stepped every round.
+func TestResetEngineFindsCyclesAgain(t *testing.T) {
+	g := graph.RandomRegular(64, 4, 3)
+	spec := RunSpec{
+		Balancing: graph.Lazy(g), Algorithm: balancer.NewRotorRouter(),
+		Initial: workload.PointMass(g.N(), 0, 4099), MaxRounds: 1500, SampleEvery: 100,
+	}
+	want, _ := streamSteppedOnly(t, spec)
+	eng, err := core.NewEngine(spec.Balancing, spec.Algorithm, spec.Initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for run := range 3 {
+		if run > 0 {
+			if run == 2 {
+				if _, err := eng.ApplyTopologyDelta(core.TopologyDelta{FailLinks: [][2]int{{0, int(g.Heads()[0])}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Reset(spec.Initial); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, stepped := runStepped(spec, eng)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d differs from stepping every round:\n got %+v\nwant %+v", run, got, want)
+		}
+		if stepped >= got.Rounds {
+			t.Fatalf("run %d stepped all %d rounds; no cycle found", run, stepped)
+		}
+	}
+}
+
+// counterBuilder builds counters: one node counting up modulo period, a
+// core.Recurrent model whose cycle is exactly period rounds long from round
+// zero.
+type counterBuilder struct{ period int64 }
+
+func (*counterBuilder) Name() string             { return "counter" }
+func (*counterBuilder) DefaultHorizon(n int) int { return 1 }
+func (cb *counterBuilder) New(x1 []int64, workers int) (core.Model, error) {
+	c := &counter{period: cb.period}
+	return c, c.Reset(x1)
+}
+
+type counter struct {
+	v, period int64
+	round     int
+}
+
+var _ core.Recurrent = (*counter)(nil)
+
+func (c *counter) N() int                 { return 1 }
+func (c *counter) State() []int64         { return []int64{c.v} }
+func (c *counter) Round() int             { return c.round }
+func (c *counter) Close()                 {}
+func (c *counter) Reset(x1 []int64) error { c.v, c.round = x1[0], 0; return nil }
+func (c *counter) Step() error {
+	c.v = (c.v + 1) % c.period
+	c.round++
+	return nil
+}
+func (c *counter) Recurrent() bool                 { return true }
+func (c *counter) AppendState(dst []int64) []int64 { return append(dst, c.v) }
+func (c *counter) StateEquals(snap []int64) bool   { return snap[0] == c.v }
+
+// value tracks the single node's state as the run's metric.
+type value struct{}
+
+func (value) Name() string                { return "value" }
+func (value) Measure(state []int64) int64 { return state[0] }
+
+// TestRecurrenceWindowCap: a period as long as the detection window is
+// found; one round longer is not, and the run simply steps to its horizon.
+// Both give the result of stepping every round.
+func TestRecurrenceWindowCap(t *testing.T) {
+	for _, tc := range []struct {
+		period int64
+		found  bool
+	}{
+		{recurrenceWindowCap, true},
+		{recurrenceWindowCap + 1, false},
+	} {
+		spec := RunSpec{
+			Balancing: graph.Lazy(graph.Cycle(3)), Model: &counterBuilder{tc.period},
+			Metric: value{}, Initial: []int64{0}, MaxRounds: 4 * recurrenceWindowCap,
+			SampleEvery: 1000,
+		}
+		want, _ := streamSteppedOnly(t, spec)
+		m, err := spec.Model.New(spec.Initial, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stepped := runStepped(spec, m)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("period %d: result differs from stepping every round:\n got %+v\nwant %+v", tc.period, got, want)
+		}
+		if found := stepped < got.Rounds; found != tc.found {
+			t.Fatalf("period %d: stepped %d of %d rounds, want cycle found = %v", tc.period, stepped, got.Rounds, tc.found)
+		}
+		checkMatchesStepping(t, spec)
 	}
 }

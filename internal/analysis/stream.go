@@ -133,6 +133,12 @@ func (e *streamCanceledError) Unwrap() error { return e.cause }
 // injections are pure functions of (round, state), so dynamic trajectories
 // inherit the model's bit-identical determinism across worker counts and
 // across the Run/Sweep/Stream entry points.
+//
+// A static spec on a core.Recurrent model stops stepping once the model's
+// full state repeats (see recurrence): later rounds replay the cycle's
+// observations through the same bookkeeping, so results and snapshots are
+// those of stepping every round, and the model is left at the round where
+// the cycle was found.
 func streamEngine(ctx context.Context, spec RunSpec, m core.Model, res *RunResult) iter.Seq2[Round, Snapshot] {
 	return func(yield func(Round, Snapshot) bool) {
 		inj, injOK := m.(core.Injector)
@@ -206,6 +212,11 @@ func streamEngine(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 		if spec.Events != nil {
 			delta = make([]int64, m.N())
 		}
+		// cyc, on a static run of a core.Recurrent model, finds the cycle the
+		// full state enters; every round after that replays the cycle's
+		// observation instead of stepping, so the bookkeeping below sees the
+		// same values either way.
+		cyc := newRecurrence(spec, m, horizon)
 
 		closeShocks := func(round int) {
 			for i := openFrom; i < len(res.Shocks); i++ {
@@ -432,20 +443,29 @@ func streamEngine(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 				// inject already finalized at the post-injection state.
 				return
 			}
-			if err := m.Step(); err != nil {
-				// The failed round did execute (state is left advanced for
-				// debugging), so its value joins the bookkeeping like any
-				// other stopping round.
-				res.Err = err
-				sdisc, slo, shi := observe()
-				if sdisc < best {
-					best = sdisc
+			var o observation
+			if cyc.period > 0 {
+				o = cyc.replay(round)
+			} else {
+				if err := m.Step(); err != nil {
+					// The failed round did execute (state is left advanced
+					// for debugging), so its value joins the bookkeeping like
+					// any other stopping round.
+					res.Err = err
+					sdisc, slo, shi := observe()
+					if sdisc < best {
+						best = sdisc
+					}
+					finish(round, sdisc, slo, shi, false)
+					yield(round, Snapshot{Discrepancy: sdisc, Max: shi, Min: slo})
+					return
 				}
-				finish(round, sdisc, slo, shi, false)
-				yield(round, Snapshot{Discrepancy: sdisc, Max: shi, Min: slo})
-				return
+				o.disc, o.lo, o.hi = observe()
+				if cyc.rec != nil {
+					cyc.record(round, o)
+				}
 			}
-			disc, lo, hi := observe()
+			disc, lo, hi := o.disc, o.lo, o.hi
 			sampled := false
 			if spec.SampleEvery > 0 && round%spec.SampleEvery == 0 {
 				res.Series = append(res.Series, Point{Round: round, Discrepancy: disc, Max: hi, Min: lo})

@@ -123,6 +123,9 @@ func (rr *rotorRange) ResetState() {
 	}
 }
 
+// StateWords implements core.RangeState: the rotor positions.
+func (rr *rotorRange) StateWords() []int32 { return rr.rotor }
+
 // DistributeRange implements core.RangeDistributor; it mirrors
 // rotorNode.Distribute with nil selfLoops (tokens directed at self-loop
 // slots simply stay, counted into kept).
@@ -167,6 +170,9 @@ type sendFloorRange struct {
 // ResetState implements core.StateResetter (stateless).
 func (s *sendFloorRange) ResetState() {}
 
+// StateWords implements core.RangeState (stateless).
+func (s *sendFloorRange) StateWords() []int32 { return nil }
+
 // DistributeRange implements core.RangeDistributor: every edge gets exactly
 // the floor share, so the extra-token mask is always zero.
 func (s *sendFloorRange) DistributeRange(x, bp, kept []int64, lo, hi int) {
@@ -199,6 +205,9 @@ type sendRoundRange struct {
 
 // ResetState implements core.StateResetter (stateless).
 func (s *sendRoundRange) ResetState() {}
+
+// StateWords implements core.RangeState (stateless).
+func (s *sendRoundRange) StateWords() []int32 { return nil }
 
 // DistributeRange implements core.RangeDistributor: the nearest-ties-down
 // share is ⌊(2x+d⁺−1)/(2d⁺)⌋, exactly as sendRoundNode computes it, sent
@@ -249,6 +258,9 @@ func (gr *goodSRange) ResetState() {
 		gr.rotor[i] = 0
 	}
 }
+
+// StateWords implements core.RangeState: the rotor positions.
+func (gr *goodSRange) StateWords() []int32 { return gr.rotor }
 
 // DistributeRange implements core.RangeDistributor.
 func (gr *goodSRange) DistributeRange(x, bp, kept []int64, lo, hi int) {
@@ -303,6 +315,9 @@ type biasedRange struct {
 // ResetState implements core.StateResetter (stateless).
 func (br *biasedRange) ResetState() {}
 
+// StateWords implements core.RangeState (stateless).
+func (br *biasedRange) StateWords() []int32 { return nil }
+
 // DistributeRange implements core.RangeDistributor; it mirrors
 // biasedNode.Distribute with nil selfLoops. A negative load sends nothing.
 func (br *biasedRange) DistributeRange(x, bp, kept []int64, lo, hi int) {
@@ -335,4 +350,10 @@ var (
 	_ core.StateResetter = (*sendRoundRange)(nil)
 	_ core.StateResetter = (*goodSRange)(nil)
 	_ core.StateResetter = (*biasedRange)(nil)
+
+	_ core.RangeState = (*rotorRange)(nil)
+	_ core.RangeState = (*sendFloorRange)(nil)
+	_ core.RangeState = (*sendRoundRange)(nil)
+	_ core.RangeState = (*goodSRange)(nil)
+	_ core.RangeState = (*biasedRange)(nil)
 )

@@ -44,37 +44,29 @@ func (p *PeriodicMatchings) Matching(round int) []int32 {
 // EdgeColoringScheduler greedily colors the original edges of g so that the
 // colors partition E into matchings, then cycles through the color classes.
 // Greedy coloring on a d-regular graph uses at most 2d−1 colors; structured
-// graphs typically end up near d (hypercubes exactly at d). Parallel copies
-// of an edge share one color.
+// graphs typically end up near d (hypercubes exactly at d). Each parallel
+// copy of an edge is an edge of its own and gets its own color, so a pair
+// joined twice balances over one copy per matching, never over both at once.
 func EdgeColoringScheduler(g *graph.Graph) *PeriodicMatchings {
 	d, heads := g.Degree(), g.Heads()
-	colorOf := make([]int, len(heads)) // 1 + color of a canonical arc, 0 if none
 	stride := 2 * d
 	used := make([]bool, g.N()*stride) // used[u*stride+c]: color c is taken at u
-	maxColor := 0
+	var rounds [][]int32
 	for p, v := range heads {
 		u := p / d
-		if int(v) < u || colorOf[p] != 0 {
+		if int(v) < u {
 			continue
 		}
 		c := 0
 		for used[u*stride+c] || used[int(v)*stride+c] {
 			c++
 		}
-		for q := p; q < (u+1)*d; q++ {
-			if heads[q] == v {
-				colorOf[q] = c + 1
-			}
-		}
 		used[u*stride+c] = true
 		used[int(v)*stride+c] = true
-		maxColor = max(maxColor, c+1)
-	}
-	rounds := make([][]int32, maxColor)
-	for p, c := range colorOf {
-		if c > 0 {
-			rounds[c-1] = append(rounds[c-1], int32(p))
+		if c == len(rounds) {
+			rounds = append(rounds, nil)
 		}
+		rounds[c] = append(rounds[c], int32(p))
 	}
 	return &PeriodicMatchings{Rounds: rounds}
 }

@@ -10,6 +10,7 @@ import (
 func TestEdgeColoringIsProper(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Hypercube(4), graph.Cycle(9), graph.Petersen(), graph.RandomRegular(32, 4, 1),
+		graph.Circulant(10, []int{1, 9}), graph.Circulant(12, []int{1, 6}),
 	} {
 		sched := EdgeColoringScheduler(g)
 		if len(sched.Rounds) < g.Degree() || len(sched.Rounds) > 2*g.Degree()-1 {
@@ -39,6 +40,19 @@ func TestHypercubeColoringUsesExactlyD(t *testing.T) {
 	sched := EdgeColoringScheduler(g)
 	if len(sched.Rounds) != 5 {
 		t.Fatalf("hypercube coloring used %d classes, want 5", len(sched.Rounds))
+	}
+}
+
+// TestMatchingBalancesDoubledCycle: on the 10-cycle with every edge doubled,
+// the balancing circuit averages each matched pair over one copy. Both
+// copies in one matching would swap the pair's loads instead, and the point
+// mass would never move below K.
+func TestMatchingBalancesDoubledCycle(t *testing.T) {
+	g := graph.Circulant(10, []int{1, 9})
+	algo := NewMatchingBalancer(EdgeColoringScheduler(g), false, 1)
+	eng := runAudited(t, graph.Lazy(g), algo, pointMass(10, 512), 160, core.NewConservationAuditor())
+	if d := eng.Discrepancy(); d >= 512 {
+		t.Fatalf("matching on %s stuck at discrepancy %d = K", g.Name(), d)
 	}
 }
 

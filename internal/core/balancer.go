@@ -84,6 +84,15 @@ type RangeDistributor interface {
 	DistributeRange(x, bp, kept []int64, lo, hi int)
 }
 
+// RangeState is an optional RangeDistributor extension exposing the bound
+// state's mutable words: the rotor positions of a rotor-router, nil for a
+// stateless scheme. Those words and the load vector are the engine's whole
+// state, so a bulk engine whose distributor implements it is Recurrent. The
+// slice is shared with the distributor and must not be modified.
+type RangeState interface {
+	StateWords() []int32
+}
+
 // FlatBalancer is an optional Balancer extension for algorithms that can
 // bind their per-node state into flat arrays and distribute via
 // RangeDistributor. BindFlat may return nil to decline (e.g. a configuration

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"detlb/internal/graph"
 )
@@ -272,6 +273,56 @@ func (e *Engine) ApplyDelta(delta []int64) error {
 		}
 	}
 	return nil
+}
+
+// Recurrent implements core.Recurrent: the engine's next state is a pure
+// function of its loads and its bound balancer's words only on the bulk path
+// whose distributor exposes those words (RangeState), with no auditors, no
+// flow counters, no per-round observer hook and no fault overlay.
+func (e *Engine) Recurrent() bool {
+	if e.bulk == nil || len(e.auditors) > 0 || e.flowsFlat != nil || e.topo != nil {
+		return false
+	}
+	if _, ok := e.algo.(RoundObserver); ok {
+		return false
+	}
+	_, ok := e.bulk.(RangeState)
+	return ok
+}
+
+// stateWords is the bound bulk state's mutable words, nil when it has none.
+func (e *Engine) stateWords() []int32 {
+	if s, ok := e.bulk.(RangeState); ok {
+		return s.StateWords()
+	}
+	return nil
+}
+
+// AppendState implements core.Recurrent: the loads, then the balancer words.
+func (e *Engine) AppendState(dst []int64) []int64 {
+	words := e.stateWords()
+	dst = append(slices.Grow(dst, len(e.x)+len(words)), e.x...)
+	for _, w := range words {
+		dst = append(dst, int64(w))
+	}
+	return dst
+}
+
+// StateEquals implements core.Recurrent.
+//
+//detcheck:noalloc
+func (e *Engine) StateEquals(snap []int64) bool {
+	words := e.stateWords()
+	n := len(e.x)
+	if len(snap) != n+len(words) || !slices.Equal(snap[:n], e.x) {
+		return false
+	}
+	for i, w := range words {
+		if snap[n+i] != int64(w) {
+			return false
+		}
+	}
+	return true
 }
 
 // Balancing returns the balancing graph the engine runs on.

@@ -74,12 +74,33 @@ type Faultable interface {
 	UnreachableLoad() int64
 }
 
+// Recurrent is the optional cycle-detection capability: a Model whose next
+// full state is a pure function of its current full state implements it, so
+// a run that revisits a state can replay its observations instead of
+// stepping. On a finite token count such a model is eventually periodic.
+// The harness snapshots the state with AppendState and compares it with
+// StateEquals only on runs with no schedule, since a schedule changes the
+// state from outside the model.
+type Recurrent interface {
+	// Recurrent reports whether the model's configuration makes its next
+	// state a pure function of its current one. It is read once per run,
+	// after Reset, and may be false for configurations with hidden state
+	// (the round number, accumulated flows, auditors, a fault overlay).
+	Recurrent() bool
+	// AppendState appends the full state to dst and returns the result.
+	AppendState(dst []int64) []int64
+	// StateEquals reports whether the current full state equals snap, a
+	// value AppendState returned; it stops at the first difference.
+	StateEquals(snap []int64) bool
+}
+
 // The diffusion engine is the reference Model implementation and the one
-// that carries both optional capabilities.
+// that carries every optional capability.
 var (
 	_ Model     = (*Engine)(nil)
 	_ Injector  = (*Engine)(nil)
 	_ Faultable = (*Engine)(nil)
+	_ Recurrent = (*Engine)(nil)
 )
 
 // ModelBuilder constructs Models from initial state vectors. Builders are the
