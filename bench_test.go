@@ -65,8 +65,8 @@ func reportSweepMetrics(b *testing.B, runs int) {
 }
 
 // BenchmarkSweep100 measures the concurrent sweep harness on the 100-spec
-// family: engines reused per (graph, algorithm) group via Engine.Reset,
-// spectral gap memoized per graph, groups fanned out over 4 sweep workers.
+// family: a fresh engine per spec, spectral gap memoized per graph, groups
+// fanned out over 4 sweep workers.
 func BenchmarkSweep100(b *testing.B) {
 	specs := sweepBenchSpecs()
 	b.ReportAllocs()
@@ -82,8 +82,9 @@ func BenchmarkSweep100(b *testing.B) {
 }
 
 // BenchmarkSweep100SerialWarmGap measures the equivalent serial analysis.Run
-// loop with this PR's gap cache warm: a fresh engine per run, but each
-// graph's Lanczos solve already memoized.
+// loop with the gap cache warm: a fresh engine per run, as in the sweep, and
+// each graph's Lanczos solve already memoized, so the gap to Sweep100 is the
+// sweep's scheduling across its workers.
 func BenchmarkSweep100SerialWarmGap(b *testing.B) {
 	specs := sweepBenchSpecs()
 	for _, spec := range specs {
@@ -210,7 +211,7 @@ func BenchmarkDynamicStaticBaseline(b *testing.B) {
 }
 
 // BenchmarkDynamicSweep25 measures 25 shocked specs through the concurrent
-// sweep harness (engine reuse + schedule evaluation together).
+// sweep harness (a fresh engine per spec plus schedule evaluation).
 func BenchmarkDynamicSweep25(b *testing.B) {
 	base := dynamicBenchSpec()
 	specs := make([]detlb.RunSpec, 25)

@@ -1,7 +1,7 @@
 // Command lbsweep runs a scenario sweep: the cross product of graph ×
 // algorithm × workload × schedule × topology specs, fanned out over the
-// concurrent sweep harness (engines reused per (graph, algorithm) group,
-// spectral gaps memoized per graph), with per-spec rows and
+// concurrent sweep harness (a fresh engine per spec, spectral gaps memoized
+// per graph), with per-spec rows and
 // per-(graph, algorithm) aggregate tables emitted as text, CSV, or JSON.
 //
 // Usage:

@@ -79,49 +79,6 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDeterminismAcrossReset asserts that an engine rewound with Reset
-// reproduces a fresh engine's trajectory bit-for-bit, for stateful (rotor)
-// and stateless (send-floor) balancers, serial and pooled engines — the
-// property the sweep harness's engine reuse rests on. The reset engine is
-// deliberately dirtied with a different vector first so stale rotor
-// positions or loads would show.
-func TestDeterminismAcrossReset(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-
-	const rounds = 120
-	g := detlb.RandomRegular(128, 8, 3)
-	algos := []struct {
-		name string
-		make func() detlb.Balancer
-	}{
-		{"rotor-router", func() detlb.Balancer { return detlb.NewRotorRouter() }},
-		{"send-floor", func() detlb.Balancer { return detlb.NewSendFloor() }},
-	}
-
-	for _, algo := range algos {
-		for _, workers := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", algo.name, workers), func(t *testing.T) {
-				bg := detlb.Lazy(g)
-				x1 := detlb.PointMass(g.N(), 0, int64(31*g.N())+11)
-				warmup := detlb.PointMass(g.N(), 5, int64(7*g.N())+3)
-
-				fresh := detlb.MustEngine(bg, algo.make(), x1, detlb.WithWorkers(workers))
-				defer fresh.Close()
-				ref := runTrajectory(t, fresh, rounds)
-
-				reused := detlb.MustEngine(bg, algo.make(), warmup, detlb.WithWorkers(workers))
-				defer reused.Close()
-				runTrajectory(t, reused, 37) // dirty the bound state
-				if err := reused.Reset(x1); err != nil {
-					t.Fatal(err)
-				}
-				got := runTrajectory(t, reused, rounds)
-				compareTrajectories(t, "reset vs fresh", ref, got)
-			})
-		}
-	}
-}
-
 // TestDeterminismAcrossDistributePaths asserts the compressed bulk fast path
 // and the per-node NodeBalancer path produce identical trajectories.
 // Attaching an auditor that requires per-self-loop assignments forces the

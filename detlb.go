@@ -74,8 +74,6 @@ type (
 	RunResult = analysis.RunResult
 	// SweepOptions configures the concurrent sweep harness.
 	SweepOptions = analysis.SweepOptions
-	// StateResetter is the optional rewind interface engine reuse relies on.
-	StateResetter = core.StateResetter
 )
 
 // Model kernel: the model-agnostic simulation layer. Any deterministic
@@ -85,8 +83,8 @@ type (
 type (
 	// Model is the round-based dynamics interface the harness drives.
 	Model = core.Model
-	// ModelBuilder describes a model family; comparable builders are the
-	// sweep grouping unit for model reuse.
+	// ModelBuilder describes a model family; comparable builders key sweep
+	// grouping.
 	ModelBuilder = core.ModelBuilder
 	// Metric maps a model state vector to the scalar the harness tracks.
 	Metric = core.Metric
@@ -449,9 +447,9 @@ var (
 var (
 	// Run executes a RunSpec to the paper's horizon T with early stopping.
 	Run = analysis.Run
-	// Sweep executes many RunSpecs concurrently: engines are reused per
-	// (graph, algorithm) group via Engine.Reset and spectral gaps are
-	// memoized per graph, with results bit-identical to a serial Run loop.
+	// Sweep executes many RunSpecs concurrently, each on a fresh engine,
+	// with spectral gaps memoized per graph and results bit-identical to a
+	// serial Run loop.
 	Sweep = analysis.Sweep
 	// SweepContext is Sweep with cancellation at spec granularity.
 	SweepContext = analysis.SweepContext

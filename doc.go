@@ -27,12 +27,11 @@
 //     cmd/lbbench as text tables or, with -format md, one Markdown report);
 //   - a concurrent scenario-sweep subsystem (Sweep): spec families — graph ×
 //     balancer × initial-load grids, the shape of the paper's claims — fan
-//     out over a bounded runner pool with engines reused across runs of the
-//     same (graph, algorithm) pair via Engine.Reset, per-spec results
-//     bit-identical to a serial Run loop at every worker count, and one bad
-//     spec reported through its RunResult.Err instead of killing the sweep
-//     (see cmd/lbsweep for the CLI); SweepContext adds cancellation and
-//     progress callbacks for long sweeps;
+//     out over a bounded runner pool, one fresh engine per run, per-spec
+//     results bit-identical to a serial Run loop at every worker count, and
+//     one bad spec reported through its RunResult.Err instead of killing the
+//     sweep (see cmd/lbsweep for the CLI); SweepContext adds cancellation
+//     and progress callbacks for long sweeps;
 //   - a dynamic-workload subsystem: Schedules (Burst, Drain, PeriodicLoad,
 //     ChurnLoad, adversarial Refill, composable) inject load between rounds
 //     through Engine.ApplyDelta, and each shock is measured for recovery —

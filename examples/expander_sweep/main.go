@@ -7,10 +7,9 @@
 // the paper's horizon, and prints both against the two theoretical scales.
 //
 // With -sweep the whole n × algorithm grid is built as one spec list and
-// executed by the concurrent sweep harness (detlb.Sweep): engines are reused
-// per (graph, algorithm) pair, the spectral gap is computed once per graph,
-// and the per-spec results are bit-identical to the serial loop the default
-// mode runs.
+// executed by the concurrent sweep harness (detlb.Sweep): the spectral gap
+// is computed once per graph, and the per-spec results are bit-identical to
+// the serial loop the default mode runs.
 //
 // The grid itself is declared through the scenario layer: each cell is a
 // pure-data detlb.Scenario (graph family + algorithm + workload descriptors)

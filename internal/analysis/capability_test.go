@@ -20,9 +20,13 @@ type smootherBuilder struct{}
 func (*smootherBuilder) Name() string             { return "smoother" }
 func (*smootherBuilder) DefaultHorizon(n int) int { return 4 * n * n }
 func (*smootherBuilder) New(x1 []int64, workers int) (core.Model, error) {
-	m := &smoother{share: make([]int64, len(x1)), kern: core.NewKernel(workers)}
+	m := &smoother{
+		x:     append([]int64(nil), x1...),
+		share: make([]int64, len(x1)),
+		kern:  core.NewKernel(workers),
+	}
 	m.first, m.second = m.sharePhase, m.applyPhase
-	return m, m.Reset(x1)
+	return m, nil
 }
 
 // smoother is integer diffusion on the node-index ring: every round each
@@ -42,11 +46,6 @@ func (m *smoother) N() int         { return len(m.x) }
 func (m *smoother) State() []int64 { return m.x }
 func (m *smoother) Round() int     { return m.round }
 func (m *smoother) Close()         { m.kern.Close() }
-func (m *smoother) Reset(x1 []int64) error {
-	m.x = append(m.x[:0], x1...)
-	m.round = 0
-	return nil
-}
 
 func (m *smoother) sharePhase(lo, hi int) {
 	for i := lo; i < hi; i++ {
@@ -126,7 +125,7 @@ func TestInjectorModelTakesWorkloadSchedules(t *testing.T) {
 			t.Fatalf("workers=%d result differs from serial:\n%+v\nvs\n%+v", w, got, ref)
 		}
 	}
-	// The second spec reuses the first one's model through Reset.
+	// Both specs share one sweep group and run in order.
 	for i, got := range Sweep([]RunSpec{smootherSpec(mb, 0), smootherSpec(mb, 0)}, SweepOptions{}) {
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("sweep result %d differs from Run:\n%+v\nvs\n%+v", i, got, ref)
@@ -204,12 +203,6 @@ func TestEngineRecurrentOptOuts(t *testing.T) {
 	if eng.Recurrent() {
 		t.Error("faulted engine claims Recurrent")
 	}
-	if err := eng.Reset(x1); err != nil {
-		t.Fatal(err)
-	}
-	if !eng.Recurrent() {
-		t.Error("reset engine is not Recurrent again")
-	}
 }
 
 // runStepped runs spec on m through the round loop and reports how many
@@ -220,42 +213,6 @@ func runStepped(spec RunSpec, m core.Model) (RunResult, int) {
 	return res, m.Round()
 }
 
-// TestResetEngineFindsCyclesAgain: an engine reused through Reset, as the
-// sweep reuses it, fast-forwards every run, after a faulted run too, and
-// every run equals the same spec stepped every round.
-func TestResetEngineFindsCyclesAgain(t *testing.T) {
-	g := graph.RandomRegular(64, 4, 3)
-	spec := RunSpec{
-		Balancing: graph.Lazy(g), Algorithm: balancer.NewRotorRouter(),
-		Initial: workload.PointMass(g.N(), 0, 4099), MaxRounds: 1500, SampleEvery: 100,
-	}
-	want, _ := streamSteppedOnly(t, spec)
-	eng, err := core.NewEngine(spec.Balancing, spec.Algorithm, spec.Initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for run := range 3 {
-		if run > 0 {
-			if run == 2 {
-				if _, err := eng.ApplyTopologyDelta(core.TopologyDelta{FailLinks: [][2]int{{0, int(g.Heads()[0])}}}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := eng.Reset(spec.Initial); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, stepped := runStepped(spec, eng)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %d differs from stepping every round:\n got %+v\nwant %+v", run, got, want)
-		}
-		if stepped >= got.Rounds {
-			t.Fatalf("run %d stepped all %d rounds; no cycle found", run, stepped)
-		}
-	}
-}
-
 // counterBuilder builds counters: one node counting up modulo period, a
 // core.Recurrent model whose cycle is exactly period rounds long from round
 // zero.
@@ -264,8 +221,7 @@ type counterBuilder struct{ period int64 }
 func (*counterBuilder) Name() string             { return "counter" }
 func (*counterBuilder) DefaultHorizon(n int) int { return 1 }
 func (cb *counterBuilder) New(x1 []int64, workers int) (core.Model, error) {
-	c := &counter{period: cb.period}
-	return c, c.Reset(x1)
+	return &counter{v: x1[0], period: cb.period}, nil
 }
 
 type counter struct {
@@ -275,11 +231,10 @@ type counter struct {
 
 var _ core.Recurrent = (*counter)(nil)
 
-func (c *counter) N() int                 { return 1 }
-func (c *counter) State() []int64         { return []int64{c.v} }
-func (c *counter) Round() int             { return c.round }
-func (c *counter) Close()                 {}
-func (c *counter) Reset(x1 []int64) error { c.v, c.round = x1[0], 0; return nil }
+func (c *counter) N() int         { return 1 }
+func (c *counter) State() []int64 { return []int64{c.v} }
+func (c *counter) Round() int     { return c.round }
+func (c *counter) Close()         {}
 func (c *counter) Step() error {
 	c.v = (c.v + 1) % c.period
 	c.round++

@@ -108,8 +108,8 @@ func TestDynamicRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestDynamicSweepMatchesSerialRun is the other half of the acceptance
-// criterion: Sweep's reused engines produce the same shocked results as a
-// serial Run loop, at every sweep worker count.
+// criterion: Sweep produces the same shocked results as a serial Run loop,
+// at every sweep worker count.
 func TestDynamicSweepMatchesSerialRun(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	b := graph.Lazy(graph.RandomRegular(96, 8, 9))

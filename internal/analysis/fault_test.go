@@ -117,7 +117,7 @@ func TestFaultedRunDeterministicAcrossWorkersAndEntryPoints(t *testing.T) {
 			t.Fatalf("workers=%d result differs from serial:\n%+v\nvs\n%+v", w, got, ref)
 		}
 	}
-	// Sweep (engine reuse via Reset) and Stream must agree bit-identically.
+	// Sweep (one group, run in order) and Stream must agree bit-identically.
 	sw := Sweep([]RunSpec{faultedSpec(0), faultedSpec(0)}, SweepOptions{})
 	for i, got := range sw {
 		if !reflect.DeepEqual(ref, got) {

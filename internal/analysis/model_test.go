@@ -48,7 +48,7 @@ func hermanSpec(mb core.ModelBuilder, workers int) RunSpec {
 
 // TestModelRunDeterministicAcrossWorkersAndEntryPoints is the protocol
 // counterpart of the faulted-run determinism test: every worker count and
-// every entry point — Run, Sweep (model reuse via Reset), StreamInto — must
+// every entry point — Run, Sweep (one group, run in order), StreamInto — must
 // produce bit-identical results for both protocol families.
 func TestModelRunDeterministicAcrossWorkersAndEntryPoints(t *testing.T) {
 	cases := []struct {
@@ -79,8 +79,8 @@ func TestModelRunDeterministicAcrossWorkersAndEntryPoints(t *testing.T) {
 					t.Fatalf("workers=%d result differs from serial:\n%+v\nvs\n%+v", w, got, ref)
 				}
 			}
-			// Sweep reuses one model across the duplicated specs via Reset;
-			// both results must match the fresh-model path exactly.
+			// Sweep runs the duplicated specs in order in one group; both
+			// results must match Run exactly.
 			sw := Sweep([]RunSpec{tc.spec(0), tc.spec(0)}, SweepOptions{})
 			for i, got := range sw {
 				if !reflect.DeepEqual(ref, got) {
@@ -117,13 +117,13 @@ func TestModelSweepGroupsShareOneBuilder(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(sw[0], sw[2]) {
-		t.Fatal("identical specs diverged across an interleaved reused model")
+		t.Fatal("identical specs diverged across an interleaved group")
 	}
 	if sw[0].InitialDiscrepancy == sw[1].InitialDiscrepancy {
 		t.Fatal("distinct initial vectors produced the same initial metric")
 	}
 	if !reflect.DeepEqual(sw[0], Run(a)) || !reflect.DeepEqual(sw[1], Run(b)) {
-		t.Fatal("reused-model sweep results differ from fresh Run results")
+		t.Fatal("grouped sweep results differ from Run results")
 	}
 }
 

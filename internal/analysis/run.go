@@ -323,12 +323,10 @@ func newModel(spec RunSpec) (core.Model, error) {
 	return eng, nil
 }
 
-// runContext drives a model already holding the spec's initial vector
-// through the streaming round loop (see streamEngine), draining it to
-// completion. It is the sweep runner's entry point (models reused across
-// specs via Reset), bit-identical to Run's fresh-model path because a reset
-// model is equivalent to a fresh one and the round loop is a pure function
-// of (spec, initial state). The context gives it round-granularity
+// runContext drives a fresh model holding the spec's initial vector through
+// the streaming round loop (see streamEngine), draining it to completion. It
+// is the sweep runner's entry point, bit-identical to Run because both drain
+// the same loop on a fresh model. The context gives it round-granularity
 // cancellation — the guarantee SweepContext and the serving layer's drain
 // are built on.
 func runContext(ctx context.Context, spec RunSpec, m core.Model, res RunResult) RunResult {

@@ -42,7 +42,7 @@ type Snapshot struct {
 
 // Stream executes the spec as a lazy per-round sequence — the primitive the
 // whole harness is expressed over: Run is Stream drained to completion, and
-// the sweep runner drains the same core with a reused model.
+// the sweep runner drains the same core.
 //
 // The sequence yields the initial state under key 0, then one snapshot per
 // completed round (plus one per schedule injection, marked Shock), honoring
@@ -118,9 +118,9 @@ func (e *streamCanceledError) Unwrap() error { return e.cause }
 // through the round loop, yielding one snapshot per observation and folding
 // the full RunResult bookkeeping into res. It is the single round-loop
 // implementation for every simulator — the diffusion engine and the protocol
-// machines alike: Run and every streaming consumer (fresh model per call) and
-// the sweep runner (models reused across specs via Reset) all drain it, so
-// their results are bit-identical to each other.
+// machines alike: Run, every streaming consumer and the sweep runner all
+// drain it on a fresh model, so their results are bit-identical to each
+// other.
 //
 // Each observation's value is spec.Metric's measure of the state, or the
 // load discrepancy max − min when the spec sets no Metric. With spec.Events

@@ -55,19 +55,20 @@ func (p *sweepProgress) specDone() {
 // balancer × initial-vector grids — and Sweep is the harness layer that makes
 // such families cheap to run:
 //
+//   - Every spec runs on a fresh engine (or model), closed when its run
+//     ends: a run is a pure function of its spec and needs nothing from the
+//     run before it.
 //   - Specs are grouped by (balancing graph, algorithm) identity — model
-//     specs (RunSpec.Model) by (balancing graph, model builder) identity.
-//     Each group runs sequentially on one runner, reusing a single engine
-//     (or model) across the group's specs via Reset — the worker pool, flat
-//     arrays, and bound balancer state are allocated once per group, not
-//     once per run. Specs carrying auditors opt out of reuse (auditors are
-//     per-run observers) and get a fresh engine.
-//   - Groups are fanned out over a bounded runner pool. Concurrency is
-//     across groups: within a group, sequential execution guarantees a
-//     Balancer instance that keeps per-run state on itself (continuous-mimic,
-//     bounded-error, matching) is never bound to two engines at once. Do not
-//     share such an instance across specs with *different* balancing graphs
-//     in one sweep; give each spec its own instance.
+//     specs (RunSpec.Model) by (balancing graph, model builder) identity —
+//     and each group runs its specs in order on one runner. Grouping has two
+//     reasons. A Balancer instance that keeps per-run state on itself
+//     (continuous-mimic, bounded-error, matching) is written by every Bind,
+//     so the specs sharing it must never bind concurrently; do not share
+//     such an instance across specs with *different* balancing graphs in one
+//     sweep, give each spec its own instance. And groups are the unit of the
+//     largest-first dispatch below.
+//   - Groups are fanned out over a bounded runner pool; concurrency is
+//     across groups.
 //   - With more than one runner, groups go out largest first by n·d⁺ of
 //     their balancing graph (a stable order, so equal-cost groups keep their
 //     discovery order), and the last groups handed out are the short ones.
@@ -219,7 +220,7 @@ func warmGap(ctx context.Context, b *graph.Balancing) {
 	spectral.Gap(b)
 }
 
-// sweepKey identifies one reuse group: same balancing graph plus the same
+// sweepKey identifies one sweep group: same balancing graph plus the same
 // algorithm instance (diffusion specs) or the same model builder (model
 // specs). A valid spec sets exactly one of the two, so the two families never
 // share a group.
@@ -229,7 +230,7 @@ type sweepKey struct {
 	model core.ModelBuilder
 }
 
-// groupKey returns the spec's reuse key. keyed is false when the spec cannot
+// groupKey returns the spec's group key. keyed is false when the spec cannot
 // be grouped — a missing graph, neither or both of Algorithm and Model (the
 // spec will fail in prepareResult), or an algorithm/builder of a
 // non-comparable dynamic type, which cannot serve as a map key; such specs
@@ -242,33 +243,15 @@ func groupKey(spec RunSpec) (sweepKey, bool) {
 	return key, true
 }
 
-// sweepCache carries one group's reusable simulator — a diffusion engine or
-// a model — between compatible specs.
-type sweepCache struct {
-	m       core.Model
-	workers int
-}
-
-// close releases whatever the cache holds; idempotent.
-func (c *sweepCache) close() {
-	if c.m != nil {
-		c.m.Close()
-		c.m = nil
-	}
-}
-
-// runSweepGroup executes one group's specs in order, carrying a reusable
-// simulator between compatible specs. A done context short-circuits
-// the remaining specs into cancellation errors.
+// runSweepGroup executes one group's specs in order, each on a fresh model.
+// A done context short-circuits the remaining specs into cancellation errors.
 func runSweepGroup(ctx context.Context, specs []RunSpec, indices []int, results []RunResult, prog *sweepProgress) {
-	var cache sweepCache
-	defer cache.close()
 	for _, i := range indices {
 		if ctx.Err() != nil {
 			results[i] = RunResult{TargetRound: -1,
 				Err: fmt.Errorf("analysis: sweep canceled: %w", context.Cause(ctx))}
 		} else {
-			res := runSweepSpec(ctx, specs[i], &cache)
+			res := runSweepSpec(ctx, specs[i])
 			// An in-flight spec stopped by the context reports the round
 			// loop's "stream canceled"; relabel it so every spec of one
 			// canceled sweep — started or not — reads the same.
@@ -282,16 +265,13 @@ func runSweepGroup(ctx context.Context, specs []RunSpec, indices []int, results 
 	}
 }
 
-// runSweepSpec runs one spec, reusing the cached simulator (resetting it in
-// place) when the spec is compatible with it, replacing it otherwise.
-// Panics — bind-time validation in balancers, hostile user implementations —
-// are converted to the spec's Err, and the cache is discarded since its
-// state is unknown after an unwound run.
-func runSweepSpec(ctx context.Context, spec RunSpec, cache *sweepCache) (res RunResult) {
+// runSweepSpec runs one spec on a fresh model. Panics — bind-time
+// validation in balancers, hostile user implementations — are converted to
+// the spec's Err.
+func runSweepSpec(ctx context.Context, spec RunSpec) (res RunResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Errorf("analysis: sweep spec panicked: %v", r)
-			cache.close()
 		}
 	}()
 
@@ -299,32 +279,11 @@ func runSweepSpec(ctx context.Context, spec RunSpec, cache *sweepCache) (res Run
 	if !ok {
 		return res
 	}
-
-	// Auditors are per-run observers: never share an engine across them.
-	if len(spec.Auditors) > 0 {
-		m, err := newModel(spec)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		defer m.Close()
-		return runContext(ctx, spec, m, res)
-	}
-
-	if cache.m != nil && cache.workers == spec.Workers {
-		if err := cache.m.Reset(spec.Initial); err == nil {
-			return runContext(ctx, spec, cache.m, res)
-		}
-		// Reset declined (wrong vector length, unresettable bound state,
-		// illegal state encoding): fall through to a fresh simulator, which
-		// surfaces any real error.
-	}
-	cache.close()
 	m, err := newModel(spec)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	cache.m, cache.workers = m, spec.Workers
+	defer m.Close()
 	return runContext(ctx, spec, m, res)
 }

@@ -44,10 +44,9 @@ func sweepSpecs() []RunSpec {
 	return specs
 }
 
-// TestSweepMatchesSerialRunLoop pins the headline contract: Sweep's engine
-// reuse (Engine.Reset) and group scheduling yield bit-identical per-spec
-// results to a serial loop of fresh-engine Run calls, at every sweep worker
-// count.
+// TestSweepMatchesSerialRunLoop pins the headline contract: Sweep's group
+// scheduling yields bit-identical per-spec results to a serial loop of Run
+// calls, at every sweep worker count.
 func TestSweepMatchesSerialRunLoop(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	specs := sweepSpecs()
@@ -125,30 +124,6 @@ func TestSweepLargestFirstMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d spec %d: sweep result diverges from serial Run:\n got %+v\nwant %+v",
 					workers, i, got[i], ref[i])
 			}
-		}
-	}
-}
-
-// TestSweepReusedEngineMatchesFresh drives one (graph, algorithm) group —
-// maximal engine reuse, every spec after the first runs on a Reset engine —
-// and checks each result against a fresh-engine Run.
-func TestSweepReusedEngineMatchesFresh(t *testing.T) {
-	b := graph.Lazy(graph.RandomRegular(48, 8, 11))
-	rotor := balancer.NewRotorRouter()
-	var specs []RunSpec
-	for i := 0; i < 10; i++ {
-		specs = append(specs, RunSpec{
-			Balancing: b,
-			Algorithm: rotor,
-			Initial:   workload.PointMass(b.N(), i, int64(64*(i+1))+1),
-			MaxRounds: 60,
-		})
-	}
-	got := Sweep(specs, SweepOptions{Workers: 1})
-	for i, spec := range specs {
-		want := Run(spec)
-		if !reflect.DeepEqual(want, got[i]) {
-			t.Fatalf("spec %d: reset-engine result diverges from fresh engine:\n got %+v\nwant %+v", i, got[i], want)
 		}
 	}
 }
@@ -256,8 +231,8 @@ func TestRunReportsInvalidSpec(t *testing.T) {
 	}
 }
 
-// TestSweepAuditorSpecsGetFreshEngines: specs with auditors run correctly
-// inside a group of auditor-free specs sharing an engine.
+// TestSweepAuditorSpecsGetFreshEngines: a spec with auditors runs inside a
+// group of auditor-free specs without perturbing them.
 func TestSweepAuditorSpecsGetFreshEngines(t *testing.T) {
 	b := graph.Lazy(graph.RandomRegular(32, 6, 2))
 	rotor := balancer.NewRotorRouter()

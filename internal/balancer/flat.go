@@ -77,7 +77,6 @@ func (r *RotorRouter) BindFlat(b *graph.Balancing) core.RangeDistributor {
 			}
 			rr.rotor[u] = int32(p)
 		}
-		rr.init = append([]int32(nil), rr.rotor...)
 	}
 	// Precompute, for every (rotor position, excess) pair, the bitmask of
 	// original edges receiving an excess token. A walk of excess < d⁺
@@ -100,27 +99,12 @@ func (r *RotorRouter) BindFlat(b *graph.Balancing) core.RangeDistributor {
 }
 
 // rotorRange is the flat-state rotor-router: rotor positions in one int32
-// array, the excess distribution as a precomputed mask table. init holds the
-// starting rotor positions when they are not all zero, so ResetState can
-// rewind in place.
+// array, the excess distribution as a precomputed mask table.
 type rotorRange struct {
 	d, dplus int
 	div      divider
 	rotor    []int32
-	init     []int32
 	masks    []uint64
-}
-
-// ResetState implements core.StateResetter: rewind every rotor to its
-// starting position without reallocating.
-func (rr *rotorRange) ResetState() {
-	if rr.init != nil {
-		copy(rr.rotor, rr.init)
-		return
-	}
-	for i := range rr.rotor {
-		rr.rotor[i] = 0
-	}
 }
 
 // StateWords implements core.RangeState: the rotor positions.
@@ -167,9 +151,6 @@ type sendFloorRange struct {
 	div divider
 }
 
-// ResetState implements core.StateResetter (stateless).
-func (s *sendFloorRange) ResetState() {}
-
 // StateWords implements core.RangeState (stateless).
 func (s *sendFloorRange) StateWords() []int32 { return nil }
 
@@ -202,9 +183,6 @@ type sendRoundRange struct {
 	dplus int64
 	div   divider
 }
-
-// ResetState implements core.StateResetter (stateless).
-func (s *sendRoundRange) ResetState() {}
 
 // StateWords implements core.RangeState (stateless).
 func (s *sendRoundRange) StateWords() []int32 { return nil }
@@ -250,13 +228,6 @@ type goodSRange struct {
 	d, s, slots int
 	div         divider
 	rotor       []int32
-}
-
-// ResetState implements core.StateResetter: all rotors start at slot 0.
-func (gr *goodSRange) ResetState() {
-	for i := range gr.rotor {
-		gr.rotor[i] = 0
-	}
 }
 
 // StateWords implements core.RangeState: the rotor positions.
@@ -312,9 +283,6 @@ type biasedRange struct {
 	div divider
 }
 
-// ResetState implements core.StateResetter (stateless).
-func (br *biasedRange) ResetState() {}
-
 // StateWords implements core.RangeState (stateless).
 func (br *biasedRange) StateWords() []int32 { return nil }
 
@@ -344,12 +312,6 @@ var (
 	_ core.FlatBalancer = SendRound{}
 	_ core.FlatBalancer = GoodS{}
 	_ core.FlatBalancer = BiasedRounding{}
-
-	_ core.StateResetter = (*rotorRange)(nil)
-	_ core.StateResetter = (*sendFloorRange)(nil)
-	_ core.StateResetter = (*sendRoundRange)(nil)
-	_ core.StateResetter = (*goodSRange)(nil)
-	_ core.StateResetter = (*biasedRange)(nil)
 
 	_ core.RangeState = (*rotorRange)(nil)
 	_ core.RangeState = (*sendFloorRange)(nil)

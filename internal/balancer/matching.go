@@ -74,8 +74,9 @@ func EdgeColoringScheduler(g *graph.Graph) *PeriodicMatchings {
 // RandomMatchingScheduler samples a fresh maximal matching every round by
 // scanning edges in a seeded random order — the "random matching model".
 type RandomMatchingScheduler struct {
-	g   *graph.Graph
-	rng *rand.Rand
+	g    *graph.Graph
+	seed int64
+	rng  *rand.Rand
 
 	arcs    []int32 // canonical arc positions, shuffled in place each round
 	matched []bool
@@ -85,19 +86,32 @@ type RandomMatchingScheduler struct {
 func NewRandomMatchingScheduler(g *graph.Graph, seed int64) *RandomMatchingScheduler {
 	s := &RandomMatchingScheduler{
 		g:       g,
+		seed:    seed,
 		rng:     rand.New(rand.NewSource(seed)),
 		matched: make([]bool, g.N()),
 	}
-	for p, v := range g.Heads() {
-		if int(v) > p/g.Degree() {
-			s.arcs = append(s.arcs, int32(p))
-		}
-	}
+	s.restart()
 	return s
 }
 
-// Matching implements MatchingScheduler.
+// restart puts the scheduler back in its constructor state: the seed's first
+// draw next and the arcs in canonical order.
+func (s *RandomMatchingScheduler) restart() {
+	s.rng.Seed(s.seed)
+	s.arcs = s.arcs[:0]
+	for p, v := range s.g.Heads() {
+		if int(v) > p/s.g.Degree() {
+			s.arcs = append(s.arcs, int32(p))
+		}
+	}
+}
+
+// Matching implements MatchingScheduler. Round 1 restarts the scheduler, so
+// every run draws the same matchings whatever ran on it before.
 func (s *RandomMatchingScheduler) Matching(round int) []int32 {
+	if round == 1 {
+		s.restart()
+	}
 	clear(s.matched)
 	s.rng.Shuffle(len(s.arcs), func(i, j int) { s.arcs[i], s.arcs[j] = s.arcs[j], s.arcs[i] })
 	heads, d := s.g.Heads(), s.g.Degree()

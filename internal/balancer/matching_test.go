@@ -1,6 +1,7 @@
 package balancer
 
 import (
+	"slices"
 	"testing"
 
 	"detlb/internal/core"
@@ -73,6 +74,26 @@ func TestRandomMatchingIsMatching(t *testing.T) {
 		// Greedy maximal matching on a connected graph matches ≥ n/3 nodes.
 		if len(arcs) < g.N()/3/2 {
 			t.Fatalf("round %d: suspiciously small matching (%d arcs)", round, len(arcs))
+		}
+	}
+}
+
+// TestRandomMatchingRestartsAtRoundOne: a run that starts at round 1 draws
+// the matchings of a freshly built scheduler, whatever ran on it before.
+func TestRandomMatchingRestartsAtRoundOne(t *testing.T) {
+	g := graph.RandomRegular(40, 6, 2)
+	draw := func(s *RandomMatchingScheduler) [][]int32 {
+		var out [][]int32
+		for round := 1; round <= 5; round++ {
+			out = append(out, slices.Clone(s.Matching(round)))
+		}
+		return out
+	}
+	sched := NewRandomMatchingScheduler(g, 3)
+	want := draw(NewRandomMatchingScheduler(g, 3))
+	for run := range 2 {
+		if got := draw(sched); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("run %d draws different matchings than a fresh scheduler", run)
 		}
 	}
 }

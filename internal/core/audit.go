@@ -45,9 +45,6 @@ func NewConservationAuditor() *ConservationAuditor { return &ConservationAuditor
 // Requires implements Auditor.
 func (a *ConservationAuditor) Requires() Requirements { return Requirements{} }
 
-// ResetState implements StateResetter: the next run re-latches its total.
-func (a *ConservationAuditor) ResetState() { a.total, a.seen = 0, false }
-
 // ObserveDelta implements DeltaObserver: injected tokens move the expected
 // total.
 func (a *ConservationAuditor) ObserveDelta(_ *Engine, delta []int64) {
@@ -90,9 +87,6 @@ func NewNonNegativeAuditor() *NonNegativeAuditor { return &NonNegativeAuditor{} 
 // Requires implements Auditor.
 func (a *NonNegativeAuditor) Requires() Requirements { return Requirements{} }
 
-// ResetState implements StateResetter (stateless).
-func (a *NonNegativeAuditor) ResetState() {}
-
 // Observe implements Auditor.
 func (a *NonNegativeAuditor) Observe(e *Engine, _ []int64, _, _ [][]int64) error {
 	for u, v := range e.Loads() {
@@ -115,9 +109,6 @@ func NewNegativeLoadCounter() *NegativeLoadCounter { return &NegativeLoadCounter
 
 // Requires implements Auditor.
 func (a *NegativeLoadCounter) Requires() Requirements { return Requirements{} }
-
-// ResetState implements StateResetter.
-func (a *NegativeLoadCounter) ResetState() { a.Events, a.Rounds = 0, 0 }
 
 // Observe implements Auditor.
 func (a *NegativeLoadCounter) Observe(e *Engine, _ []int64, _, _ [][]int64) error {
@@ -154,9 +145,6 @@ func NewCumulativeFairnessAuditor(limit int64) *CumulativeFairnessAuditor {
 // Requires implements Auditor.
 func (a *CumulativeFairnessAuditor) Requires() Requirements { return Requirements{Flows: true} }
 
-// ResetState implements StateResetter (Limit is configuration, not state).
-func (a *CumulativeFairnessAuditor) ResetState() { a.MaxDelta = 0 }
-
 // Observe implements Auditor.
 func (a *CumulativeFairnessAuditor) Observe(e *Engine, _ []int64, _, _ [][]int64) error {
 	for u, fu := range e.Flows() {
@@ -189,9 +177,6 @@ func NewMinShareAuditor() *MinShareAuditor { return &MinShareAuditor{} }
 
 // Requires implements Auditor.
 func (a *MinShareAuditor) Requires() Requirements { return Requirements{SelfLoops: true} }
-
-// ResetState implements StateResetter (stateless).
-func (a *MinShareAuditor) ResetState() {}
 
 // Observe implements Auditor. Arcs the fault overlay marked dead are skipped:
 // their sends were bounced back to the sender and zeroed, which is the
@@ -231,9 +216,6 @@ func NewRoundFairAuditor() *RoundFairAuditor { return &RoundFairAuditor{} }
 
 // Requires implements Auditor.
 func (a *RoundFairAuditor) Requires() Requirements { return Requirements{SelfLoops: true} }
-
-// ResetState implements StateResetter (stateless).
-func (a *RoundFairAuditor) ResetState() {}
 
 // Observe implements Auditor. Under the fault overlay, dead arcs carry
 // bounced (zeroed) sends that were each a valid {⌊x/d⁺⌋, ⌈x/d⁺⌉} share before
@@ -290,9 +272,6 @@ func NewSelfPreferenceAuditor(s int) *SelfPreferenceAuditor {
 
 // Requires implements Auditor.
 func (a *SelfPreferenceAuditor) Requires() Requirements { return Requirements{SelfLoops: true} }
-
-// ResetState implements StateResetter (S is configuration, not state).
-func (a *SelfPreferenceAuditor) ResetState() {}
 
 // Observe implements Auditor.
 func (a *SelfPreferenceAuditor) Observe(e *Engine, prevLoads []int64, sends, selfLoops [][]int64) error {

@@ -104,19 +104,6 @@ type FlatBalancer interface {
 	BindFlat(b *graph.Balancing) RangeDistributor
 }
 
-// StateResetter is an optional interface for objects carrying per-run
-// mutable state — bound balancer state (a RangeDistributor) or an Auditor —
-// that can rewind to its initial configuration in place, without
-// reallocating. Engine.Reset uses it to reuse one engine across many runs of
-// the same (graph, algorithm) pair with zero steady-state allocation: bound
-// state that implements it is rewound, bound state that does not is re-bound
-// from the Balancer (which allocates), and an attached auditor that does not
-// implement it makes Reset fail rather than silently leak state between runs.
-type StateResetter interface {
-	// ResetState rewinds to the state immediately after construction/binding.
-	ResetState()
-}
-
 // RoundObserver is an optional interface for balancers that need a global
 // per-round hook (e.g. the continuous-flow-mimicking baseline advances its
 // continuous simulation once per round). The engine invokes BeginRound with

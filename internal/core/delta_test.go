@@ -96,50 +96,6 @@ func TestApplyDeltaBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaComposesWithReset: Reset discards injected load along with
-// the rest of the vector, and a post-Reset run matches a fresh engine's.
-func TestApplyDeltaComposesWithReset(t *testing.T) {
-	b := graph.Lazy(graph.RandomRegular(64, 8, 5))
-	x1 := pointMass(64, 1024)
-
-	eng := MustEngine(b, evenSplit{}, x1)
-	defer eng.Close()
-	delta := make([]int64, 64)
-	delta[10] = 500
-	if err := eng.ApplyDelta(delta); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Reset(x1); err != nil {
-		t.Fatal(err)
-	}
-	if eng.TotalLoad() != 1024 {
-		t.Fatalf("reset kept injected load: total %d", eng.TotalLoad())
-	}
-	for i := 0; i < 10; i++ {
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	fresh := MustEngine(b, evenSplit{}, x1)
-	defer fresh.Close()
-	for i := 0; i < 10; i++ {
-		if err := fresh.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, v := range fresh.Loads() {
-		if eng.Loads()[i] != v {
-			t.Fatalf("post-reset trajectory diverged at node %d: %d vs %d", i, eng.Loads()[i], v)
-		}
-	}
-}
-
 // TestConservationAuditorTracksDeltas: the auditor's expected total follows
 // injections instead of reporting them as conservation violations.
 func TestConservationAuditorTracksDeltas(t *testing.T) {

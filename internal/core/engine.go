@@ -197,67 +197,14 @@ func MustEngine(b *graph.Balancing, algo Balancer, x1 []int64, opts ...Option) *
 // must not Step after Close.
 func (e *Engine) Close() { e.kern.Close() }
 
-// Reset rewinds the engine to round zero with a new initial load vector,
-// reusing the worker pool, the flat backing arrays, and — when the bound
-// balancer state implements StateResetter — the binding itself, so a sweep
-// over many initial vectors on the same (graph, algorithm) pair allocates
-// nothing per run in steady state. Bound state without StateResetter is
-// re-bound from the Balancer instead (this allocates but is always correct:
-// Bind/BindFlat construct fresh per-run state by contract).
-//
-// The trajectory after Reset(x1) is bit-identical to that of a fresh engine
-// built with the same options — Reset exists so that equivalence is cheap,
-// and the determinism tests pin it.
-//
-// Reset fails if any attached auditor does not implement StateResetter:
-// auditors accumulate per-run observations (conservation totals, fairness
-// maxima) and carrying them across runs would corrupt the next run's audit.
-func (e *Engine) Reset(x1 []int64) error {
-	if len(x1) != e.bal.N() {
-		return fmt.Errorf("core: reset load vector has %d entries for %d nodes", len(x1), e.bal.N())
-	}
-	for _, a := range e.auditors {
-		if _, ok := a.(StateResetter); !ok {
-			return fmt.Errorf("core: auditor %T does not implement StateResetter; use a fresh engine", a)
-		}
-	}
-	copy(e.x, x1)
-	e.round = 0
-	e.topo = nil // a reset engine starts on the pristine graph
-	for i := range e.flowsFlat {
-		e.flowsFlat[i] = 0
-	}
-	if e.bulk != nil {
-		if r, ok := e.bulk.(StateResetter); ok {
-			r.ResetState()
-		} else {
-			e.bulk = e.algo.(FlatBalancer).BindFlat(e.bal)
-			if e.bulk == nil {
-				return fmt.Errorf("core: balancer %q declined BindFlat on reset", e.algo.Name())
-			}
-		}
-	} else {
-		nodes := e.algo.Bind(e.bal)
-		if len(nodes) != e.bal.N() {
-			return fmt.Errorf("core: balancer %q bound %d nodes for %d-node graph on reset",
-				e.algo.Name(), len(nodes), e.bal.N())
-		}
-		e.nodes = nodes
-	}
-	for _, a := range e.auditors {
-		a.(StateResetter).ResetState()
-	}
-	return nil
-}
-
 // ApplyDelta adds delta (one entry per node) to the current load vector — the
 // dynamic-workload injection hook. It must be called between rounds, never
 // during a Step. The addition is a single serial pass over the n-word vector:
-// it allocates nothing, is bit-identical for every worker count (the worker
-// pool is not involved), and composes with Reset, which overwrites the vector
-// wholesale. Auditors implementing DeltaObserver are notified so cross-round
-// aggregates (the conservation total) account for the injected tokens; per-round
-// invariants are unaffected because Step itself still conserves.
+// it allocates nothing and is bit-identical for every worker count (the
+// worker pool is not involved). Auditors implementing DeltaObserver are
+// notified so cross-round aggregates (the conservation total) account for the
+// injected tokens; per-round invariants are unaffected because Step itself
+// still conserves.
 //
 //detcheck:noalloc
 func (e *Engine) ApplyDelta(delta []int64) error {

@@ -13,6 +13,9 @@ package core
 // worker count, wall clock, and map iteration order. Implementations that
 // parallelize a round must dispatch it through a Kernel (or otherwise
 // guarantee bit-identical results at every width).
+//
+// A Model serves exactly one run: the harness builds a fresh one for every
+// spec and closes it when the run ends, so no model rewinds in place.
 type Model interface {
 	// N returns the number of nodes (the length of State).
 	N() int
@@ -30,14 +33,6 @@ type Model interface {
 	// invariant-auditor failure) leaves the already-advanced state available
 	// for debugging.
 	Step() error
-
-	// Reset rewinds the model to round zero with a new initial state vector,
-	// reusing allocations and worker pools. The trajectory after Reset(x1)
-	// must be bit-identical to that of a fresh model built with x1 — the
-	// property sweep-level model reuse depends on. Implementations that
-	// cannot restore some attached component must return an error, in which
-	// case the caller builds a fresh model.
-	Reset(x1 []int64) error
 
 	// Close releases the model's worker pool, if any; idempotent. The model
 	// must not Step after Close.
@@ -84,8 +79,8 @@ type Faultable interface {
 type Recurrent interface {
 	// Recurrent reports whether the model's configuration makes its next
 	// state a pure function of its current one. It is read once per run,
-	// after Reset, and may be false for configurations with hidden state
-	// (the round number, accumulated flows, auditors, a fault overlay).
+	// before the first Step, and may be false for configurations with hidden
+	// state (the round number, accumulated flows, auditors, a fault overlay).
 	Recurrent() bool
 	// AppendState appends the full state to dst and returns the result.
 	AppendState(dst []int64) []int64
@@ -103,11 +98,11 @@ var (
 	_ Recurrent = (*Engine)(nil)
 )
 
-// ModelBuilder constructs Models from initial state vectors. Builders are the
-// unit of sweep grouping: specs sharing one comparable builder value reuse a
-// single Model via Reset, exactly as diffusion specs sharing a (graph,
-// balancer) pair reuse one Engine. Implementations should therefore be
-// pointer types (comparable, identity-keyed).
+// ModelBuilder constructs Models from initial state vectors. Builders key
+// sweep grouping: specs sharing one comparable builder value run in order on
+// one sweep runner, each on a fresh Model, exactly as diffusion specs sharing
+// a (graph, balancer) pair do. Implementations should therefore be pointer
+// types (comparable, identity-keyed).
 type ModelBuilder interface {
 	// Name identifies the model family and its parameters, e.g.
 	// "majority(seed=1)" — used in labels and error messages.

@@ -112,14 +112,6 @@ func NewPotentialTracker(s int, cs ...int64) *PotentialTracker {
 // Requires implements Auditor.
 func (p *PotentialTracker) Requires() Requirements { return Requirements{} }
 
-// ResetState implements StateResetter.
-func (p *PotentialTracker) ResetState() {
-	p.prevPhi, p.prevPhiPrime = nil, nil
-	p.seen = false
-	p.Violations = 0
-	p.TotalPhiDrop = 0
-}
-
 // ObserveDelta implements DeltaObserver: a between-round injection moves the
 // potential baseline, so the next round's monotonicity comparison re-latches
 // from the post-injection vector instead of counting the injected jump as a

@@ -508,7 +508,7 @@ func (e *Engine) maskDeadSends(lo, hi int) {
 }
 
 // TopologyEpoch returns the number of effective topology deltas applied
-// since construction (or the last Reset); 0 means the CSR graph is pristine.
+// since construction; 0 means the CSR graph is pristine.
 func (e *Engine) TopologyEpoch() int {
 	if e.topo == nil {
 		return 0
@@ -549,7 +549,7 @@ func (e *Engine) LiveNodes() int {
 }
 
 // StrandedLoad returns the cumulative load removed with stranded node
-// failures since construction (or the last Reset).
+// failures since construction.
 func (e *Engine) StrandedLoad() int64 {
 	if e.topo == nil {
 		return 0

@@ -26,8 +26,6 @@ func (r flatEvenSplitRange) DistributeRange(x, bp, kept []int64, lo, hi int) {
 	}
 }
 
-func (flatEvenSplitRange) ResetState() {}
-
 func TestApplyTopologyDeltaValidation(t *testing.T) {
 	b := graph.Lazy(graph.Cycle(8))
 	eng := MustEngine(b, evenSplit{}, pointMass(8, 100))
@@ -333,38 +331,6 @@ func TestIncrementalPatchMatchesRebuild(t *testing.T) {
 	for u := range x1 {
 		if a.Loads()[u] != be.Loads()[u] {
 			t.Fatalf("loads[%d]: patch=%d rebuild=%d", u, a.Loads()[u], be.Loads()[u])
-		}
-	}
-}
-
-func TestResetClearsTopology(t *testing.T) {
-	b := graph.Lazy(graph.Cycle(8))
-	x1 := pointMass(8, 320)
-	eng := MustEngine(b, evenSplit{}, x1)
-	mustDelta(t, eng, TopologyDelta{FailLinks: [][2]int{{0, 1}}, FailNodes: []NodeFault{{Node: 4}}})
-	for i := 0; i < 5; i++ {
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Reset(x1); err != nil {
-		t.Fatal(err)
-	}
-	if eng.TopologyEpoch() != 0 || eng.ArcAlive() != nil || eng.StrandedLoad() != 0 {
-		t.Fatal("Reset must clear the fault overlay")
-	}
-	fresh := MustEngine(b, evenSplit{}, x1)
-	for i := 0; i < 20; i++ {
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for u := range x1 {
-		if eng.Loads()[u] != fresh.Loads()[u] {
-			t.Fatalf("reset engine diverged at node %d: %d vs %d", u, eng.Loads()[u], fresh.Loads()[u])
 		}
 	}
 }

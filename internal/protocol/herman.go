@@ -158,32 +158,6 @@ func (m *Herman) Step() error {
 	return nil
 }
 
-// Reset rewinds the machine to round zero with a new token vector (same
-// validity rules as New), reusing the kernel and scratch arrays and
-// re-arming the auditors; the trajectory afterwards is bit-identical to a
-// fresh machine's.
-func (m *Herman) Reset(x1 []int64) error {
-	if len(x1) != m.n {
-		return fmt.Errorf("protocol: herman reset vector has %d entries for %d nodes", len(x1), m.n)
-	}
-	var tokens int64
-	for u, v := range x1 {
-		if v != 0 && v != 1 {
-			return badState("herman", u, v, "0 or 1")
-		}
-		tokens += v
-	}
-	if tokens%2 == 0 {
-		return fmt.Errorf("protocol: herman reset needs an odd token count, got %d", tokens)
-	}
-	copy(m.state, x1)
-	m.round = 0
-	for _, a := range m.auditors {
-		a.ResetState(m.state)
-	}
-	return nil
-}
-
 // Close releases the machine's kernel; idempotent.
 func (m *Herman) Close() { m.kern.Close() }
 

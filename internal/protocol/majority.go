@@ -25,7 +25,8 @@ var (
 
 // MajorityBuilder constructs four-state exact-majority machines for a fixed
 // population size and scheduler seed. One builder value is the unit of sweep
-// grouping: specs sharing it reuse a single machine via Reset.
+// grouping: specs sharing it run in order on one runner, each on a fresh
+// machine.
 type MajorityBuilder struct {
 	n    int
 	seed uint64
@@ -157,24 +158,6 @@ func interact(a, b int64) (int64, int64) {
 		return WeakB, b
 	}
 	return a, b
-}
-
-// Reset rewinds the machine to round zero with a new opinion vector, reusing
-// every allocation and re-arming the auditors; the trajectory afterwards is
-// bit-identical to a fresh machine's.
-func (m *Majority) Reset(x1 []int64) error {
-	if len(x1) != m.n {
-		return fmt.Errorf("protocol: majority reset vector has %d entries for %d nodes", len(x1), m.n)
-	}
-	if err := validateOpinions(x1); err != nil {
-		return err
-	}
-	copy(m.state, x1)
-	m.round = 0
-	for _, a := range m.auditors {
-		a.ResetState(m.state)
-	}
-	return nil
 }
 
 // Close is a no-op; the machine owns no worker pool.

@@ -41,10 +41,11 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Auditor checks a protocol invariant after every completed round. Auditors
-// carry per-run state (the conserved quantity they pin); ResetState re-arms
-// them, which is what lets a sweep reuse one machine across many runs.
+// carry per-run state (the conserved quantity they pin), armed once when the
+// machine is built.
 type Auditor interface {
-	// ResetState re-arms the auditor for a fresh run starting from state.
+	// ResetState arms the auditor for the run starting from state; a
+	// machine's constructor calls it once, before the first round.
 	ResetState(state []int64)
 
 	// Observe checks the invariant after round round. A non-nil error fails

@@ -755,8 +755,8 @@ func (s TopologySpec) Bind(n int) (topology.Schedule, error) {
 // balancing graph per distinct graph descriptor, one algorithm instance (or
 // model builder) per (graph, algorithm) descriptor pair, and one initial
 // vector per (graph, workload) pair — exactly the identities analysis.Sweep
-// groups on for engine and model reuse, so a bound family sweeps with the
-// same engine economy as hand-wired specs.
+// groups on, so a bound family builds each graph once, like hand-wired
+// specs.
 func BindScenarios(cells []Scenario) ([]analysis.RunSpec, error) {
 	specs := make([]analysis.RunSpec, len(cells))
 	graphs := map[string]*graph.Balancing{}

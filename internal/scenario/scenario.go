@@ -13,9 +13,9 @@
 //
 // A Scenario describes one run; a Family is the cross-product description
 // (graphs × algos × workloads × schedules × topologies, the lbsweep grammar
-// as data) that expands to Scenarios and binds to RunSpecs with the same engine-reuse
-// grouping the sweep harness expects: one balancing graph per graph
-// descriptor, one algorithm instance per (graph, algorithm) pair.
+// as data) that expands to Scenarios and binds to RunSpecs with the grouping
+// the sweep harness expects: one balancing graph per graph descriptor, one
+// algorithm instance per (graph, algorithm) pair.
 package scenario
 
 import (
@@ -289,7 +289,7 @@ func (f *Family) Scenarios() []Scenario {
 // expanded per-cell scenarios (for labeling). Binding shares one balancing
 // graph per graph descriptor and one algorithm instance per
 // (graph, algorithm) descriptor pair, the identity the sweep harness groups
-// on for engine reuse.
+// on.
 func (f *Family) Bind() ([]analysis.RunSpec, []Scenario, error) {
 	if err := f.Normalize(); err != nil {
 		return nil, nil, err

@@ -381,7 +381,7 @@ func TestFamilyExpansionOrder(t *testing.T) {
 }
 
 // Binding shares one balancing graph per graph descriptor and one algorithm
-// instance per (graph, algorithm) pair — the sweep's engine-reuse identities.
+// instance per (graph, algorithm) pair — the sweep's grouping identities.
 func TestBindScenariosShares(t *testing.T) {
 	fam, err := ParseFamily("cycle:16", "rotor-router", "point:64;uniform:4", "none;burst:5,0,32", "")
 	if err != nil {

@@ -1,20 +1,15 @@
-// Package specparse holds the schedule tests of the command-line spec
-// mini-language shared by lbsim and lbsweep. The parser lives in
-// internal/scenario; these tests run each spec through
-// scenario.ParseSchedule and Bind, the path the CLIs take.
-package specparse
+package scenario
 
 import (
 	"testing"
 
-	"detlb/internal/scenario"
 	"detlb/internal/workload"
 )
 
-// Schedule parses a schedule spec and binds it to an n-node graph; the
-// static spellings bind to a nil schedule.
-func Schedule(spec string, n int) (workload.Schedule, error) {
-	s, err := scenario.ParseSchedule(spec)
+// bindSchedule parses a schedule spec and binds it to an n-node graph, the
+// path lbsim and lbsweep take; the static spellings bind to a nil schedule.
+func bindSchedule(spec string, n int) (workload.Schedule, error) {
+	s, err := ParseSchedule(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -23,7 +18,7 @@ func Schedule(spec string, n int) (workload.Schedule, error) {
 
 func TestScheduleNone(t *testing.T) {
 	for _, spec := range []string{"", "none", "none+none"} {
-		s, err := Schedule(spec, 16)
+		s, err := bindSchedule(spec, 16)
 		if err != nil {
 			t.Fatalf("%q: %v", spec, err)
 		}
@@ -34,7 +29,7 @@ func TestScheduleNone(t *testing.T) {
 }
 
 func TestScheduleSingle(t *testing.T) {
-	s, err := Schedule("burst:20,3,4096", 16)
+	s, err := bindSchedule("burst:20,3,4096", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +38,7 @@ func TestScheduleSingle(t *testing.T) {
 		t.Fatalf("parsed %#v", s)
 	}
 
-	s, err = Schedule("churn:10,256", 16)
+	s, err = bindSchedule("churn:10,256", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +47,7 @@ func TestScheduleSingle(t *testing.T) {
 		t.Fatalf("parsed %#v (default seed must be 1)", s)
 	}
 
-	s, err = Schedule("refill:50,1024,25", 16)
+	s, err = bindSchedule("refill:50,1024,25", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +58,7 @@ func TestScheduleSingle(t *testing.T) {
 }
 
 func TestScheduleCompose(t *testing.T) {
-	s, err := Schedule("burst:10,0,512+drain:20,40,2+periodic:30,5,64", 16)
+	s, err := bindSchedule("burst:10,0,512+drain:20,40,2+periodic:30,5,64", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +86,7 @@ func TestScheduleErrors(t *testing.T) {
 		"drain:5,10,0",         // nothing to drain
 		"refill:10,100,-5",     // negative cadence
 	} {
-		if _, err := Schedule(spec, 16); err == nil {
+		if _, err := bindSchedule(spec, 16); err == nil {
 			t.Fatalf("%q should fail to parse", spec)
 		}
 	}
@@ -99,7 +94,7 @@ func TestScheduleErrors(t *testing.T) {
 
 func TestScheduleRejectsZeroAmounts(t *testing.T) {
 	for _, spec := range []string{"burst:20,0,0", "periodic:5,1,0", "refill:10,0"} {
-		if _, err := Schedule(spec, 16); err == nil {
+		if _, err := bindSchedule(spec, 16); err == nil {
 			t.Fatalf("%q can never fire and should be rejected", spec)
 		}
 	}

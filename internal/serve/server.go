@@ -7,9 +7,9 @@
 //
 // Two execution paths share one primitive:
 //
-//   - POST /v1/runs enqueues the canonical execution: the bound family runs
-//     once on a bounded runner pool via analysis.SweepContext, keeping the
-//     sweep's engine-reuse grouping, and its result document is archived on
+//   - POST /v1/runs binds the family once and enqueues the canonical
+//     execution: the bound specs run once on a bounded runner pool via
+//     analysis.SweepContext, and the result document is archived on
 //     completion. Cancellation (DELETE, server drain) stops the in-flight
 //     cell within one round.
 //   - GET /v1/runs/{id}/stream re-executes the run live for that consumer,
@@ -466,10 +466,10 @@ func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 			s.metrics.cacheMisses.Inc()
 		}
 	}
-	// Bind eagerly to validate every cell; the bound instances are discarded
-	// — each execution (canonical or stream) rebinds its own, so engines and
-	// balancer state are never shared across concurrent executions.
-	_, cells, err := fam.Bind()
+	// Bind once, here, to validate every cell; the executor runs these
+	// specs. Streams bind their own instances per consumer, so balancer
+	// state is never shared across concurrent executions.
+	specs, cells, err := fam.Bind()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -503,7 +503,7 @@ func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 	s.acceptMu.Unlock()
 	s.metrics.runsAccepted.Inc()
 	s.metrics.queueDepth.Inc()
-	go s.execute(run)
+	go s.execute(run, specs)
 	s.log.Printf("run %s accepted: %d cells, scenario %s", run.id, len(cells), digest[:12])
 	writeJSON(w, http.StatusAccepted, run.summary())
 }
@@ -747,9 +747,10 @@ func (s *Server) admit(fam *scenario.Family) error {
 // --- canonical execution ---
 
 // execute is the run executor: one goroutine per accepted run, gated by the
-// concurrency semaphore (queued runs wait their turn), executing the family
-// on the sweep harness with its engine-reuse grouping intact.
-func (s *Server) execute(run *run) {
+// concurrency semaphore (queued runs wait their turn), sweeping the specs the
+// family bound to at POST time. The specs live only as long as execute, so a
+// finished run does not pin its graphs.
+func (s *Server) execute(run *run, specs []analysis.RunSpec) {
 	defer s.runs.done()
 	// Release the run's context from baseCtx's children once it is over —
 	// without this every completed run would stay registered on the server
@@ -772,12 +773,6 @@ func (s *Server) execute(run *run) {
 	s.metrics.queueSeconds.Observe(slotAt.Sub(run.created).Seconds())
 
 	run.setRunning()
-	specs, err := scenario.BindScenarios(run.cells)
-	if err != nil {
-		// Unreachable in practice: the family bound once at POST time.
-		s.finishRun(run, slotAt, StatusFailed, nil, 0, "", err.Error())
-		return
-	}
 	results := analysis.SweepContext(run.ctx, specs, analysis.SweepOptions{Workers: s.cfg.SweepWorkers})
 	if sweepCanceled(run.ctx, results) {
 		s.finishRun(run, slotAt, StatusCanceled, nil, 0, "", cancelMsg(run.ctx))

@@ -105,11 +105,6 @@ func (r *Recorder) Observe(e *core.Engine, _ []int64, _, _ [][]int64) error {
 	return nil
 }
 
-// ResetState implements core.StateResetter: a reused engine starts a fresh
-// series. The old backing array is released, not truncated, so a series
-// already handed out via Samples stays intact.
-func (r *Recorder) ResetState() { r.samples = nil }
-
 // WriteCSV emits the series with a header row.
 func (r *Recorder) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

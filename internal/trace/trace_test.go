@@ -170,23 +170,6 @@ func TestCSVPhiZeroValue(t *testing.T) {
 	}
 }
 
-// TestRecorderResetState: a reset recorder starts a fresh series without
-// clobbering one already handed out.
-func TestRecorderResetState(t *testing.T) {
-	rec := record(t, 1, 5, -1)
-	old := rec.Samples()
-	if len(old) != 5 {
-		t.Fatalf("expected 5 samples, got %d", len(old))
-	}
-	rec.ResetState()
-	if len(rec.Samples()) != 0 {
-		t.Fatal("reset recorder should start empty")
-	}
-	if len(old) != 5 || old[0].Round != 1 {
-		t.Fatal("previously returned series corrupted by reset")
-	}
-}
-
 // TestWriteSamplesJSONL covers the free-function form on hand-built samples.
 func TestWriteSamplesJSONL(t *testing.T) {
 	phi := int64(0)

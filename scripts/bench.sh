@@ -132,10 +132,10 @@ record 'BenchmarkStep|BenchmarkSpectralGap' BENCH_step.json \
   "ns_op_min is the noise-robust statistic on shared machines; baseline is the pre-refactor engine (see CHANGES.md)"
 
 record 'BenchmarkSweep' BENCH_sweep.json \
-  "100-spec sweep acceptance numbers: Sweep100 is the concurrent harness (engines reused, gap memoized); SerialColdGap is the pre-sweep equivalent loop (gap recomputed per run, fresh engine per run); SerialWarmGap isolates engine reuse + scheduling. allocs_op is per 100 runs. SweepColdExpander/workers=1|2 is one cold expander-headline family (9 cells, freshly bound graphs, every gap solved cold) at sweep widths 1 and 2; allocs_op is per family."
+  "100-spec sweep acceptance numbers: Sweep100 is the concurrent harness (a fresh engine per spec, gap memoized); SerialColdGap is the pre-sweep equivalent loop (gap recomputed per run, fresh engine per run); SerialWarmGap is that loop with the gap memo warm, so its difference to Sweep100 is the sweep's scheduling. allocs_op is per 100 runs. SweepColdExpander/workers=1|2 is one cold expander-headline family (9 cells, freshly bound graphs, every gap solved cold) at sweep widths 1 and 2; allocs_op is per family."
 
 record 'BenchmarkDynamic' BENCH_dynamic.json \
-  "shocked-run numbers: ShockedRun is one 128-round dynamic run (burst + periodic refill + churn, recovery-tracked); StaticBaseline is the same instance without a schedule — the dynamic-harness overhead denominator; DynamicSweep25 pushes 25 shocked specs through the concurrent sweep."
+  "shocked-run numbers: ShockedRun is one 128-round dynamic run (burst + periodic refill + churn, recovery-tracked); StaticBaseline is the same instance without a schedule — the dynamic-harness overhead denominator; DynamicSweep25 pushes 25 shocked specs through the concurrent sweep, a fresh engine per spec."
 
 record 'BenchmarkTopology' BENCH_topology.json \
   "fault-injection numbers: FaultedStep is one engine round with 32 dead links (compare BenchmarkStepRotorRouter — must stay 0 allocs/op); ApplyDelta is one fail+restore delta pair (mask updates, component census, epoch bump); FaultedRun is the dynamic benchmark instance with a periodic fault schedule and a flapping link (compare BenchmarkDynamicShockedRun)."
