@@ -488,8 +488,9 @@ func BenchmarkSpectralGapAnalytic(b *testing.B) {
 	}
 }
 
-// BenchmarkSpectralGapPowerIteration measures the Lanczos gap solver on a
-// 256-node expander (no analytic hint), bypassing the per-graph cache — the
+// BenchmarkSpectralGapPowerIteration measures one Lanczos solve (the
+// three-term recurrence with its lazily decided bisection) on a 256-node
+// expander with no analytic hint, bypassing the per-graph cache — the
 // cached SpectralGap would reduce every iteration after the first to a map
 // lookup. The name predates the solver; scripts/bench_compare.sh tracks
 // recorded benchmarks by name, so it stays.

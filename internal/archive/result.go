@@ -94,8 +94,10 @@ type ResultDoc struct {
 // documents' bytes do for the same scenario, so Archive.Put can tell an
 // entry recorded by older code (ErrStale) from a regression (ErrMismatch).
 // Version 2: gaps come from the Lanczos solver instead of power iteration;
-// only the gap fields changed.
-const ResultVersion = 2
+// only the gap fields changed. Version 3: the solver runs the three-term
+// recurrence instead of keeping a reorthogonalised basis, which moves gaps
+// by at most about 5e-13; again only the gap fields changed.
+const ResultVersion = 3
 
 // CellResultOf folds one cell's spec and result into its wire record. The
 // labels are the canonical descriptor columns (not Balancing.Name()), so

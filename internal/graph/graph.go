@@ -57,8 +57,8 @@ type Graph struct {
 	// normalized adjacency matrix A/d, when the family constructor can supply
 	// it (cycles, tori, hypercubes, ...). The spectral package prefers it
 	// over its Lanczos solver, which is exact to round-off but still costs
-	// matvecs and a reorthogonalised basis, more of both on poorly
-	// expanding graphs.
+	// matvecs and a bisection per step, more of both on poorly expanding
+	// graphs.
 	nu2    float64
 	hasNu2 bool
 }

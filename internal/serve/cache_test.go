@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"detlb/internal/archive"
 )
@@ -66,6 +67,18 @@ func runSummary(t *testing.T, base, id string) RunSummary {
 		t.Fatalf("GET run %s: %d", id, code)
 	}
 	return sum
+}
+
+// waitRunning polls a run's summary until it reports running.
+func waitRunning(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runSummary(t, base, id).Status != StatusRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("run %s did not start within 5s", id)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // TestCacheHitServesArchivedResult is the memoized tier's core contract: a
@@ -183,8 +196,10 @@ func TestSingleFlightDedup(t *testing.T) {
 		ArchiveDir: t.TempDir(), MaxConcurrentRuns: 1, MaxRunRounds: 1 << 30,
 	})
 	// Occupy the single executor slot so the deduplicated burst stays queued
-	// while its POSTs land — the in-flight window the dedup exists for.
+	// while its POSTs land — the in-flight window the dedup exists for. The
+	// blocker must hold the slot before the burst's leader can queue for it.
 	blocker := postScenario(t, ts.URL, longFamily(t, 0))
+	waitRunning(t, ts.URL, blocker.ID)
 
 	fam := testFamily(t)
 	body, err := fam.Canonical()
@@ -269,6 +284,7 @@ func TestFollowerCancelDoesNotDisturbLeader(t *testing.T) {
 		ArchiveDir: t.TempDir(), MaxConcurrentRuns: 1, MaxRunRounds: 1 << 30,
 	})
 	blocker := postScenario(t, ts.URL, longFamily(t, 0))
+	waitRunning(t, ts.URL, blocker.ID)
 	fam := testFamily(t)
 	leader := postScenario(t, ts.URL, fam)
 	follower := postScenario(t, ts.URL, fam)

@@ -466,6 +466,12 @@ func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 			s.metrics.cacheMisses.Inc()
 		}
 	}
+	// A POST whose fingerprint is already executing joins that execution
+	// before binding: its canonical bytes equal the leader's, which binding
+	// already validated, so a follower builds no graphs.
+	if s.accept(w, fam, digest, canonical, nil, nil) {
+		return
+	}
 	// Bind once, here, to validate every cell; the executor runs these
 	// specs. Streams bind their own instances per consumer, so balancer
 	// state is never shared across concurrent executions.
@@ -478,34 +484,50 @@ func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty family: no cells to run")
 		return
 	}
+	s.accept(w, fam, digest, canonical, specs, cells)
+}
+
+// accept admits a POST atomically with Close and with the single-flight
+// decision. While an execution of digest is in flight, the run joins it as
+// a follower (single-flight dedup), with cells expanded but not bound.
+// Otherwise bound specs start a new execution, which leads digest's flight
+// while the cache is enabled; without specs nothing is admitted and accept
+// reports false, so the caller binds and calls again (an identical POST may
+// have become the leader while it bound).
+func (s *Server) accept(w http.ResponseWriter, fam *scenario.Family, digest string, canonical []byte,
+	specs []analysis.RunSpec, cells []scenario.Scenario) bool {
 	s.acceptMu.Lock()
+	leader := s.flights[digest]
+	if leader == nil && specs == nil {
+		s.acceptMu.Unlock()
+		return false
+	}
 	if s.closed {
 		s.acceptMu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return true
+	}
+	if leader != nil {
+		cells = fam.Scenarios()
 	}
 	run := s.reg.create(s.baseCtx, fam, cells, digest, canonical)
 	s.runs.add(1)
-	if s.cacheEnabled() {
-		if leader, ok := s.flights[digest]; ok {
-			// Single-flight dedup: an execution of this fingerprint is
-			// already in flight — join it instead of starting another.
-			s.acceptMu.Unlock()
-			s.metrics.runsAccepted.Inc()
-			s.metrics.dedupFollowers.Inc()
-			go s.follow(run, leader)
-			s.log.Printf("run %s deduplicated onto in-flight %s: scenario %s", run.id, leader.id, digest[:12])
-			writeJSON(w, http.StatusAccepted, run.summary())
-			return
-		}
+	if leader == nil && s.cacheEnabled() {
 		s.flights[digest] = run
 	}
 	s.acceptMu.Unlock()
 	s.metrics.runsAccepted.Inc()
-	s.metrics.queueDepth.Inc()
-	go s.execute(run, specs)
-	s.log.Printf("run %s accepted: %d cells, scenario %s", run.id, len(cells), digest[:12])
+	if leader != nil {
+		s.metrics.dedupFollowers.Inc()
+		go s.follow(run, leader)
+		s.log.Printf("run %s deduplicated onto in-flight %s: scenario %s", run.id, leader.id, digest[:12])
+	} else {
+		s.metrics.queueDepth.Inc()
+		go s.execute(run, specs)
+		s.log.Printf("run %s accepted: %d cells, scenario %s", run.id, len(cells), digest[:12])
+	}
 	writeJSON(w, http.StatusAccepted, run.summary())
+	return true
 }
 
 func (s *Server) handleListRuns(w http.ResponseWriter, _ *http.Request) {

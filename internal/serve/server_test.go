@@ -366,15 +366,7 @@ func TestCancelRunStopsPromptly(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxRunRounds: 1 << 30})
 	sum := postScenario(t, ts.URL, longFamily(t, 0))
 	// Let it actually start before canceling.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var got RunSummary
-		getJSON(t, fmt.Sprintf("%s/v1/runs/%s", ts.URL, sum.ID), &got)
-		if got.Status == StatusRunning || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRunning(t, ts.URL, sum.ID)
 	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/runs/%s", ts.URL, sum.ID), nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -11,9 +11,11 @@
 // λ = (d° + d·ν)/d⁺ for an eigenvalue ν of the normalized adjacency A/d.
 // This affine correspondence lets the package reuse a family's analytic ν₂
 // (recorded on graph.Graph by its constructor) and fall back to a
-// deterministic Lanczos solver otherwise; solver results are memoized per
-// (graph, d°) pair behind weak references, so harness sweeps pay the solve
-// once per graph rather than once per run.
+// deterministic Lanczos solver otherwise: the three-term recurrence on two
+// vectors of length n, so O(n) memory, with the top Ritz value found by a
+// lazily decided bisection on the Sturm count. Solver results are memoized
+// per (graph, d°) pair behind weak references, so harness sweeps pay the
+// solve once per graph rather than once per run.
 package spectral
 
 import (
@@ -48,7 +50,8 @@ func (op *Operator) Apply(dst, x []float64) {
 	if len(dst) != n || len(x) != n {
 		panic(fmt.Sprintf("spectral: dimension mismatch: n=%d len(dst)=%d len(x)=%d", n, len(dst), len(x)))
 	}
-	applyP(op.b, nil, dst, x)
+	clear(dst)
+	applyP(op.b, nil, dst, x, 0)
 }
 
 // Entry returns P(u,v), counting parallel edges. O(d).
@@ -104,7 +107,8 @@ func GapFresh(b *graph.Balancing) float64 {
 	if nu2, ok := b.Graph().Nu2(); ok {
 		return gapOf((self + d*nu2) / dplus)
 	}
-	return gapOf(lanczosLambda2(b, nil, lanczosBasis))
+	lambda2, _ := lanczosLambda2(b, nil)
+	return gapOf(lambda2)
 }
 
 // gapOf returns µ = 1 − λ₂, clamped at 0: on a partitioned graph λ₂ = 1 to
@@ -155,18 +159,19 @@ var (
 
 func cachedLambda2(b *graph.Balancing) float64 {
 	key := lambda2Key{g: weak.Make(b.Graph()), selfLoops: b.SelfLoops()}
-	return memoLambda2(b.Graph(), key, func() float64 { return lanczosLambda2(b, nil, lanczosBasis) })
+	return memoLambda2(b, nil, key)
 }
 
-// memoLambda2 resolves key through the once-guarded cache, computing via
-// compute on first use and evicting when g is collected.
-func memoLambda2(g *graph.Graph, key lambda2Key, compute func() float64) float64 {
+// memoLambda2 resolves key through the once-guarded cache, solving for λ₂
+// of b under the alive mask on first use and evicting when b's graph is
+// collected.
+func memoLambda2(b *graph.Balancing, alive []bool, key lambda2Key) float64 {
 	lambda2Mu.Lock()
 	e, ok := lambda2Cache[key]
 	if !ok {
 		e = &lambda2Entry{}
 		lambda2Cache[key] = e
-		runtime.AddCleanup(g, func(k lambda2Key) {
+		runtime.AddCleanup(b.Graph(), func(k lambda2Key) {
 			lambda2Mu.Lock()
 			delete(lambda2Cache, k)
 			lambda2Mu.Unlock()
@@ -175,7 +180,7 @@ func memoLambda2(g *graph.Graph, key lambda2Key, compute func() float64) float64
 	lambda2Mu.Unlock()
 	e.once.Do(func() {
 		defer func() { e.panicked = recover() }()
-		e.val = compute()
+		e.val, _ = lanczosLambda2(b, alive)
 	})
 	if e.panicked != nil {
 		panic(e.panicked)
@@ -202,9 +207,8 @@ func FaultedGap(b *graph.Balancing, alive []bool) float64 {
 	if alive == nil {
 		return Gap(b)
 	}
-	g := b.Graph()
-	key := lambda2Key{g: weak.Make(g), selfLoops: b.SelfLoops(), maskHash: maskHash(alive)}
-	return gapOf(memoLambda2(g, key, func() float64 { return lanczosLambda2(b, alive, lanczosBasis) }))
+	key := lambda2Key{g: weak.Make(b.Graph()), selfLoops: b.SelfLoops(), maskHash: maskHash(alive)}
+	return gapOf(memoLambda2(b, alive, key))
 }
 
 // maskHash hashes the packed alive bits with an FNV-1a/SplitMix combination.
@@ -244,109 +248,242 @@ func splitmixRound(x uint64) uint64 {
 	return x
 }
 
-// Lanczos parameters. lanczosBasis caps the Krylov basis, so the solver
-// holds at most lanczosBasis vectors of length n however large the graph;
-// lanczosTol is the stopping step |Δλ| between successive top Ritz values;
-// lanczosBreakdown is the residual norm below which the Krylov space is
-// invariant and its Ritz values exact; lanczosMaxSteps bounds the matvecs
-// on pathologically slow spectra.
+// Lanczos parameters. lanczosTol is the stopping step |Δλ| between successive
+// top Ritz values; lanczosBreakdown is the residual norm below which the
+// Krylov space is invariant and its Ritz values exact; lanczosMaxSteps bounds
+// the matvecs on pathologically slow spectra.
 const (
-	lanczosBasis     = 128
 	lanczosTol       = 1e-13
 	lanczosBreakdown = 1e-12
 	lanczosMaxSteps  = 200000
 )
 
 // lanczosLambda2 returns λ₂ of the balancing graph's transition matrix (of
-// its fault overlay when alive is non-nil): the largest eigenvalue of P
-// restricted to the complement of the all-ones vector, P's eigenvector for
-// λ₁ = 1. P is symmetric, so λ₂ is the top of the spectrum Lanczos sees
-// there, by value — a negative spectrum (d° = 0) needs no shift.
+// its fault overlay when alive is non-nil) and the number of Lanczos steps
+// taken: λ₂ is the largest eigenvalue of P restricted to the complement of
+// the all-ones vector, P's eigenvector for λ₁ = 1. P is symmetric, so λ₂ is
+// the top of the spectrum Lanczos sees there, by value — a negative spectrum
+// (d° = 0) needs no shift.
 //
-// Each step is one CSR matvec w = P·v_k followed by full
-// reorthogonalisation, done twice: both passes project out the all-ones
-// vector and then every basis vector v₀…v_k (classical Gram–Schmidt twice
-// is enough to keep the basis orthogonal to working precision; projecting
-// the ones vector in one pass only lets the λ = 1 direction creep back in).
-// The largest Ritz value comes from Sturm bisection on the tridiagonal T_k
-// and rises monotonically in k; the solver stops when a step moves it by at
-// most lanczosTol, or when the residual vanishes. A full basis of basisCap
-// vectors restarts explicitly from the top Ritz vector, so memory stays
-// O(basisCap·n); basis vectors are allocated as the basis first grows, so a
-// solve that converges in k steps holds only k of them. The start vector is a fixed-seed Gaussian, so the result
-// is bit-identical on every call.
-func lanczosLambda2(b *graph.Balancing, alive []bool, basisCap int) float64 {
-	n := b.N()
-	if n == 1 {
-		return 0
+// The solver runs the plain three-term recurrence (lanczosRecurrence) on two
+// vectors of length n, so its memory is O(n) plus the tridiagonal T_k.
+// Without reorthogonalisation the Lanczos vectors lose orthogonality once a
+// Ritz value converges, but that only adds copies of converged Ritz values;
+// the extreme ones still converge at working precision (Paige 1980).
+//
+// After step k, θ_k is the largest eigenvalue of T_k as a one-level
+// bisection on the Sturm count finds it from T_k's Gershgorin interval down
+// to adjacent floats (the tests' topRitzValue), bit for bit. The solver
+// stops when |θ_k − θ_{k−1}| ≤ lanczosTol or when the residual β_k
+// vanishes. Each θ is a resumable bracket (ritzBracket), refined only until
+// the stop test is decided; the θ returned is finished to adjacent floats.
+// The start vector is a fixed-seed Gaussian, so the result is bit-identical
+// on every call.
+func lanczosLambda2(b *graph.Balancing, alive []bool) (lambda2 float64, steps int) {
+	switch n := b.N(); {
+	case n == 0:
+		panic("spectral: eigenvalue gap of an empty graph")
+	case n == 1:
+		return 0, 0
 	}
-	m := min(basisCap, n-1) // the complement of the ones vector has dimension n−1
-	basis := make([][]float64, 1, m)
-	w := make([]float64, n)
-	coef := make([]float64, m)
-	alpha := make([]float64, 0, m)
-	beta := make([]float64, 0, m)
-
-	rng := rand.New(rand.NewSource(1))
-	v0 := make([]float64, n)
-	for i := range v0 {
-		v0[i] = rng.NormFloat64()
+	rec := newLanczosRecurrence(b, alive)
+	var alpha, beta []float64
+	var prev ritzBracket
+	for steps = 1; ; steps++ {
+		a, residual := rec.step()
+		alpha = append(alpha, a)
+		cur := newRitzBracket(alpha, beta)
+		if steps > 1 && converged(&cur, &prev, alpha, beta) ||
+			residual <= lanczosBreakdown || steps == lanczosMaxSteps {
+			return cur.value(alpha, beta), steps
+		}
+		beta = append(beta, residual)
+		prev = cur
 	}
-	projectAndNormalize(v0)
-	basis[0] = v0
-
-	prev, theta := math.Inf(-1), 0.0
-	for step := 0; step < lanczosMaxSteps; step++ {
-		k := len(alpha)
-		vk := basis[k]
-		applyP(b, alive, w, vk)
-		alpha = append(alpha, dot(w, vk))
-		for pass := 0; pass < 2; pass++ {
-			removeMean(w)
-			orthogonalize(w, basis[:k+1], coef[:k+1])
-		}
-		theta = topRitzValue(alpha, beta)
-		if math.Abs(theta-prev) <= lanczosTol {
-			return theta
-		}
-		prev = theta
-		norm := math.Sqrt(dot(w, w))
-		if norm <= lanczosBreakdown {
-			return theta
-		}
-		if k+1 == m {
-			// Basis full: restart from the top Ritz vector y = V·s. Its
-			// Rayleigh quotient is θ itself, so convergence is judged
-			// afresh from the second step after the restart.
-			s := topRitzVector(alpha, beta, theta)
-			clear(w)
-			for j, sj := range s {
-				axpy(w, sj, basis[j])
-			}
-			copy(v0, w)
-			projectAndNormalize(v0)
-			alpha, beta = alpha[:0], beta[:0]
-			prev = math.Inf(-1)
-			continue
-		}
-		beta = append(beta, norm)
-		if len(basis) == k+1 {
-			basis = append(basis, make([]float64, n))
-		}
-		next := basis[k+1]
-		for i, wi := range w {
-			next[i] = wi / norm
-		}
-	}
-	return theta
 }
 
-// applyP computes dst = P·x, walking the graph's flat CSR adjacency — one
-// contiguous int32 array — rather than the ragged per-node neighbor slices.
-// A non-nil alive mask applies the fault overlay: a dead arc contributes
-// x[u] (a self-loop) instead of x[heads[p]], matching the engine's
-// bounce-back.
-func applyP(b *graph.Balancing, alive []bool, dst, x []float64) {
+// lanczosRecurrence is the three-term Lanczos recurrence
+//
+//	β_k·v_{k+1} = P·v_k − α_k·v_k − β_{k−1}·v_{k−1},  α_k = v_kᵀ·P·v_k,
+//
+// on the complement of the all-ones vector, which every step projects out of
+// the residual again (rounding would otherwise let the λ = 1 direction
+// back in). It holds two vectors: v = v_k, and u = v_{k−1} until the next
+// step's matvec overwrites it with the residual.
+type lanczosRecurrence struct {
+	b     *graph.Balancing
+	alive []bool
+	v, u  []float64
+	beta  float64 // β_{k−1}; 0 before the first step
+}
+
+// newLanczosRecurrence starts the recurrence from the fixed-seed Gaussian
+// vector, projected and normalized.
+func newLanczosRecurrence(b *graph.Balancing, alive []bool) *lanczosRecurrence {
+	rng := rand.New(rand.NewSource(1))
+	v := make([]float64, b.N())
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	projectAndNormalize(v)
+	return &lanczosRecurrence{b: b, alive: alive, v: v, u: make([]float64, len(v))}
+}
+
+// step runs one Lanczos step and returns α_k and the residual norm β_k.
+// Unless β_k ≤ lanczosBreakdown, it then advances to v_{k+1}.
+func (l *lanczosRecurrence) step() (alpha, beta float64) {
+	v, u := l.v, l.u
+	applyP(l.b, l.alive, u, v, l.beta)
+	alpha = dot(u, v)
+	axpy(u, -alpha, v)
+	removeMean(u)
+	beta = math.Sqrt(dot(u, u))
+	if beta > lanczosBreakdown {
+		for i, ui := range u {
+			u[i], v[i] = v[i], ui/beta
+		}
+	}
+	l.beta = beta
+	return alpha, beta
+}
+
+// converged reports whether |θ_k − θ_{k−1}| ≤ lanczosTol, as computed in
+// floating point, for the top Ritz values held by cur and prev. Rounding is
+// monotone, so the brackets bound the rounded difference; the wider bracket
+// is refined until the bounds decide the test, which at the latest happens
+// once both are finished and the difference is the exact rounded one.
+func converged(cur, prev *ritzBracket, alpha, beta []float64) bool {
+	for {
+		a1, a2 := cur.bounds()
+		b1, b2 := prev.bounds()
+		hiDiff, loDiff := a2-b1, a1-b2
+		switch {
+		case hiDiff <= lanczosTol && loDiff >= -lanczosTol:
+			return true
+		case loDiff > lanczosTol || hiDiff < -lanczosTol:
+			return false
+		case !cur.done && (prev.done || a2-a1 >= b2-b1):
+			cur.refine(alpha, beta)
+		default:
+			prev.refine(alpha, beta)
+		}
+	}
+}
+
+// ritzBracket is a resumable bisection for the largest eigenvalue of the
+// tridiagonal T_k with diagonal alpha[:k] and off-diagonal beta[:k−1],
+// starting from its Gershgorin interval. Its midpoints are those of the
+// one-level bisection, so a finished bracket's hi is bit-identical to that
+// bisection's result, and an unfinished one holds the result in [lo, hi].
+type ritzBracket struct {
+	k      int
+	lo, hi float64
+	done   bool
+}
+
+// newRitzBracket opens the bracket for the tridiagonal (alpha, beta), with
+// len(beta) = len(alpha)−1.
+func newRitzBracket(alpha, beta []float64) ritzBracket {
+	k := len(alpha)
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i, a := range alpha {
+		r := 0.0
+		if i > 0 {
+			r += math.Abs(beta[i-1])
+		}
+		if i < k-1 {
+			r += math.Abs(beta[i])
+		}
+		lo, hi = math.Min(lo, a-r), math.Max(hi, a+r)
+	}
+	return ritzBracket{k: k, lo: lo, hi: hi}
+}
+
+// bounds returns an interval holding the bracket's final value.
+func (r *ritzBracket) bounds() (lo, hi float64) {
+	if r.done {
+		return r.hi, r.hi
+	}
+	return r.lo, r.hi
+}
+
+// value finishes the bisection down to adjacent floats and returns the
+// largest eigenvalue. alpha and beta may have grown since the bracket was
+// opened; it reads only its own k entries.
+func (r *ritzBracket) value(alpha, beta []float64) float64 {
+	for !r.done {
+		r.refine(alpha, beta)
+	}
+	return r.hi
+}
+
+// refine advances the bisection by up to two levels in one pass over T_k.
+// The pass takes the Sturm test at the midpoint and at both quarter points,
+// three independent division chains; the quarter point on the side the
+// midpoint's test keeps is, bit for bit, the midpoint the next level of the
+// one-level loop would take.
+func (r *ritzBracket) refine(alpha, beta []float64) {
+	lo, hi := r.lo, r.hi
+	mid := lo + (hi-lo)/2
+	if mid <= lo || mid >= hi {
+		r.done = true
+		return
+	}
+	q1, q3 := lo+(mid-lo)/2, mid+(hi-mid)/2
+	belowMid, belowQ1, belowQ3 := topBelow3(alpha[:r.k], beta, mid, q1, q3)
+	next, belowNext := q3, belowQ3
+	if belowMid {
+		hi, next, belowNext = mid, q1, belowQ1
+	} else {
+		lo = mid
+	}
+	if next <= lo || next >= hi {
+		r.lo, r.hi, r.done = lo, hi, true
+		return
+	}
+	if belowNext {
+		hi = next
+	} else {
+		lo = next
+	}
+	r.lo, r.hi = lo, hi
+}
+
+// topBelow3 reports, for each of x0, x1 and x2, whether every eigenvalue of
+// the tridiagonal (alpha, beta) lies below it: whether all LDLᵀ pivots of
+// T − x·I are negative, the Sturm count being the number of negative
+// pivots. A zero pivot is nudged negative, as in LAPACK's dstebz. The three
+// pivot recurrences are independent, so their divisions overlap.
+func topBelow3(alpha, beta []float64, x0, x1, x2 float64) (below0, below1, below2 bool) {
+	a := alpha[0]
+	q0, q1, q2 := sturmPivot(a-x0), sturmPivot(a-x1), sturmPivot(a-x2)
+	below0, below1, below2 = q0 < 0, q1 < 0, q2 < 0
+	for i := 1; i < len(alpha) && (below0 || below1 || below2); i++ {
+		a, bb := alpha[i], beta[i-1]*beta[i-1]
+		q0 = sturmPivot(a - x0 - bb/q0)
+		q1 = sturmPivot(a - x1 - bb/q1)
+		q2 = sturmPivot(a - x2 - bb/q2)
+		below0 = below0 && q0 < 0
+		below1 = below1 && q1 < 0
+		below2 = below2 && q2 < 0
+	}
+	return below0, below1, below2
+}
+
+// sturmPivot nudges a zero pivot to −1e-300.
+func sturmPivot(q float64) float64 {
+	if math.Abs(q) < 1e-300 {
+		return -1e-300
+	}
+	return q
+}
+
+// applyP computes dst = P·x − c·dst, walking the graph's flat CSR adjacency
+// — one contiguous int32 array — rather than the ragged per-node neighbor
+// slices; c = 0 over a cleared dst is the plain matvec. A non-nil alive mask
+// applies the fault overlay: a dead arc contributes x[u] (a self-loop)
+// instead of x[heads[p]], matching the engine's bounce-back.
+func applyP(b *graph.Balancing, alive []bool, dst, x []float64, c float64) {
 	g := b.Graph()
 	n := g.N()
 	d := g.Degree()
@@ -368,135 +505,8 @@ func applyP(b *graph.Balancing, alive []bool, dst, x []float64) {
 				}
 			}
 		}
-		dst[u] = sum / dplus
+		dst[u] = sum/dplus - c*dst[u]
 	}
-}
-
-// orthogonalize makes w orthogonal to the basis vectors by one classical
-// Gram–Schmidt pass; coef receives the projections. Vectors go four at a
-// time, so each sweep over w serves four of them.
-func orthogonalize(w []float64, basis [][]float64, coef []float64) {
-	j := 0
-	for ; j+4 <= len(basis); j += 4 {
-		v0, v1, v2, v3 := basis[j][:len(w)], basis[j+1][:len(w)], basis[j+2][:len(w)], basis[j+3][:len(w)]
-		var s0, s1, s2, s3 float64
-		for i, wi := range w {
-			s0 += wi * v0[i]
-			s1 += wi * v1[i]
-			s2 += wi * v2[i]
-			s3 += wi * v3[i]
-		}
-		coef[j], coef[j+1], coef[j+2], coef[j+3] = s0, s1, s2, s3
-	}
-	for ; j < len(basis); j++ {
-		coef[j] = dot(w, basis[j])
-	}
-	j = 0
-	for ; j+4 <= len(basis); j += 4 {
-		v0, v1, v2, v3 := basis[j][:len(w)], basis[j+1][:len(w)], basis[j+2][:len(w)], basis[j+3][:len(w)]
-		c0, c1, c2, c3 := coef[j], coef[j+1], coef[j+2], coef[j+3]
-		for i := range w {
-			w[i] -= c0*v0[i] + c1*v1[i] + c2*v2[i] + c3*v3[i]
-		}
-	}
-	for ; j < len(basis); j++ {
-		axpy(w, -coef[j], basis[j])
-	}
-}
-
-// topRitzValue returns the largest eigenvalue of the symmetric tridiagonal
-// matrix with diagonal alpha and off-diagonal beta (len(beta) ≥
-// len(alpha)−1), by bisection on the Sturm count inside the Gershgorin
-// interval, down to adjacent floats.
-func topRitzValue(alpha, beta []float64) float64 {
-	k := len(alpha)
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, a := range alpha {
-		r := 0.0
-		if i > 0 {
-			r += math.Abs(beta[i-1])
-		}
-		if i < k-1 {
-			r += math.Abs(beta[i])
-		}
-		lo, hi = math.Min(lo, a-r), math.Max(hi, a+r)
-	}
-	for {
-		mid := lo + (hi-lo)/2
-		if mid <= lo || mid >= hi {
-			return hi
-		}
-		if eigenvaluesBelow(alpha, beta, mid) == k {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-}
-
-// eigenvaluesBelow is the Sturm count: the number of eigenvalues below x of
-// the tridiagonal (alpha, beta), read off the signs of the LDLᵀ pivots of
-// T − x·I. A zero pivot is nudged negative, as in LAPACK's dstebz.
-func eigenvaluesBelow(alpha, beta []float64, x float64) int {
-	count := 0
-	q := 1.0
-	for i, a := range alpha {
-		if i == 0 {
-			q = a - x
-		} else {
-			q = a - x - beta[i-1]*beta[i-1]/q
-		}
-		if math.Abs(q) < 1e-300 {
-			q = -1e-300
-		}
-		if q < 0 {
-			count++
-		}
-	}
-	return count
-}
-
-// topRitzVector returns the unit eigenvector of the tridiagonal (alpha,
-// beta) for its largest eigenvalue theta, by inverse iteration on σI − T
-// with σ just above theta: σI − T is then positive definite, so its LDLᵀ
-// factorization needs no pivoting.
-func topRitzVector(alpha, beta []float64, theta float64) []float64 {
-	k := len(alpha)
-	sigma := theta + 1e-10*math.Max(1, math.Abs(theta))
-	// σI − T = L·D·Lᵀ with unit lower bidiagonal L (subdiagonal l) and
-	// diagonal D (piv).
-	piv := make([]float64, k)
-	l := make([]float64, k)
-	for i := range k {
-		piv[i] = sigma - alpha[i]
-		if i > 0 {
-			l[i] = -beta[i-1] / piv[i-1]
-			piv[i] += l[i] * beta[i-1]
-		}
-		if piv[i] < 1e-300 {
-			piv[i] = 1e-300
-		}
-	}
-	s := make([]float64, k)
-	for i := range s {
-		s[i] = 1
-	}
-	for range 3 {
-		for i := 1; i < k; i++ {
-			s[i] -= l[i] * s[i-1]
-		}
-		for i := range s {
-			s[i] /= piv[i]
-		}
-		for i := k - 2; i >= 0; i-- {
-			s[i] -= l[i+1] * s[i+1]
-		}
-		norm := math.Sqrt(dot(s, s))
-		for i := range s {
-			s[i] /= norm
-		}
-	}
-	return s
 }
 
 // removeMean projects x onto the complement of the all-ones vector.
