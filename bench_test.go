@@ -402,8 +402,14 @@ func BenchmarkStepBiasedRounding(b *testing.B) { benchStep(b, detlb.NewBiasedRou
 // BenchmarkStepRotorRouter measures one rotor-router round (serial).
 func BenchmarkStepRotorRouter(b *testing.B) { benchStep(b, detlb.NewRotorRouter(), 0) }
 
-// BenchmarkStepRotorRouterParallel measures the same round with 8 workers.
+// BenchmarkStepRotorRouterParallel measures the same round with 8 workers,
+// which the engine clamps to GOMAXPROCS.
 func BenchmarkStepRotorRouterParallel(b *testing.B) { benchStep(b, detlb.NewRotorRouter(), 8) }
+
+// BenchmarkStepRotorRouterW2 measures the same round at engine width 2: the
+// distribute phase materializes per-arc sends and the apply phase gathers
+// them, on a two-worker pool.
+func BenchmarkStepRotorRouterW2(b *testing.B) { benchStep(b, detlb.NewRotorRouter(), 2) }
 
 // BenchmarkStepGoodS measures one good-4-balancer round (serial).
 func BenchmarkStepGoodS(b *testing.B) { benchStep(b, detlb.NewGoodS(4), 0) }
@@ -412,12 +418,12 @@ func BenchmarkStepGoodS(b *testing.B) { benchStep(b, detlb.NewGoodS(4), 0) }
 // continuous process each round).
 func BenchmarkStepContinuousMimic(b *testing.B) { benchStep(b, detlb.NewContinuousMimic(), 0) }
 
-// benchStepHypercube12 measures one serial round on hypercube:12 (4096 nodes,
-// lazy) from uniform random loads in [0, 1024]: one cell of perfbench's
-// kernel-hypercube workload.
-func benchStepHypercube12(b *testing.B, algo detlb.Balancer) {
+// benchStepHypercube12 measures one round on hypercube:12 (4096 nodes, lazy)
+// at the given engine width, from uniform random loads in [0, 1024]: one
+// cell of perfbench's kernel-hypercube workload.
+func benchStepHypercube12(b *testing.B, algo detlb.Balancer, workers int) {
 	g := detlb.Hypercube(12)
-	eng := detlb.MustEngine(detlb.Lazy(g), algo, detlb.RandomLoad(g.N(), 1024, 1))
+	eng := detlb.MustEngine(detlb.Lazy(g), algo, detlb.RandomLoad(g.N(), 1024, 1), detlb.WithWorkers(workers))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -427,14 +433,26 @@ func benchStepHypercube12(b *testing.B, algo detlb.Balancer) {
 	}
 }
 
-// BenchmarkStepHypercube12RotorRouter is kernel-hypercube's critical cell.
+// BenchmarkStepHypercube12RotorRouter is kernel-hypercube's critical cell
+// (serial, the width the server runs every cell at).
 func BenchmarkStepHypercube12RotorRouter(b *testing.B) {
-	benchStepHypercube12(b, detlb.NewRotorRouter())
+	benchStepHypercube12(b, detlb.NewRotorRouter(), 0)
+}
+
+// BenchmarkStepHypercube12RotorRouterW1 is the same cell at an explicit
+// engine width of 1, recorded beside W2.
+func BenchmarkStepHypercube12RotorRouterW1(b *testing.B) {
+	benchStepHypercube12(b, detlb.NewRotorRouter(), 1)
+}
+
+// BenchmarkStepHypercube12RotorRouterW2 is the same cell at engine width 2.
+func BenchmarkStepHypercube12RotorRouterW2(b *testing.B) {
+	benchStepHypercube12(b, detlb.NewRotorRouter(), 2)
 }
 
 // BenchmarkStepHypercube12SendFloor is kernel-hypercube's other cell.
 func BenchmarkStepHypercube12SendFloor(b *testing.B) {
-	benchStepHypercube12(b, detlb.NewSendFloor())
+	benchStepHypercube12(b, detlb.NewSendFloor(), 0)
 }
 
 // BenchmarkStepAudited measures a rotor-router round with the full auditor

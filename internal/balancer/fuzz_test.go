@@ -109,24 +109,7 @@ func FuzzFlatMatchesPerNode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, algoIn, dIn, loopsIn uint8, seed int64, loads []byte) {
 		const n = 18
 		d := 2 + int(dIn)%8 // 2..9; n is even, so n·d is too
-		loops := int(loopsIn) % 64
-		negative := true
-		var algo core.Balancer
-		switch algoIn % 5 {
-		case 0:
-			algo = NewSendFloor()
-		case 1:
-			loops = max(loops, d) // send-round needs d⁺ ≥ 2d
-			negative = false
-			algo = NewSendRound()
-		case 2:
-			algo = NewRotorRouter()
-		case 3:
-			loops = max(loops, 1) // good-s needs 1 ≤ s ≤ d°
-			algo = NewGoodS(1 + int(uint64(seed)%uint64(loops)))
-		default:
-			algo = NewBiasedRounding()
-		}
+		algo, loops, negative := fuzzScheme(algoIn, d, int(loopsIn)%64, seed)
 		b := graph.WithLoops(graph.RandomRegular(n, d, seed), loops)
 		rd := algo.(core.FlatBalancer).BindFlat(b)
 		if rd == nil {
@@ -142,6 +125,66 @@ func FuzzFlatMatchesPerNode(f *testing.F) {
 				x[u] = fuzzLoad(loads, round*n+u, negative)
 			}
 			checkFlatRound(t, algo.Name(), round, rd, nodes, x, bp, kept, sends)
+		}
+	})
+}
+
+// fuzzScheme returns the flat scheme algoIn picks — send-floor, send-round,
+// rotor-router, good-s or biased rounding — with loops raised to what it
+// needs, and whether it accepts negative loads.
+func fuzzScheme(algoIn uint8, d, loops int, seed int64) (core.Balancer, int, bool) {
+	switch algoIn % 5 {
+	case 0:
+		return NewSendFloor(), loops, true
+	case 1:
+		return NewSendRound(), max(loops, d), false // send-round needs d⁺ ≥ 2d
+	case 2:
+		return NewRotorRouter(), loops, true
+	case 3:
+		loops = max(loops, 1) // good-s needs 1 ≤ s ≤ d°
+		return NewGoodS(1 + int(uint64(seed)%uint64(loops))), loops, true
+	default:
+		return NewBiasedRounding(), loops, true
+	}
+}
+
+// FuzzPushMatchesPerNode holds the serial engine's compressed path — the
+// flat distributor's (base, mask) pairs pushed through the engine's mask
+// decoder — to the per-node engine, round by round, on fuzzed degrees
+// d = 1–63 (every decoder row shape and tail length), self-loop counts,
+// graph seeds and loads. algoIn picks the scheme as in FuzzFlatMatchesPerNode;
+// the seed corpus under testdata/fuzz covers each of them.
+func FuzzPushMatchesPerNode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, algoIn, dIn, loopsIn uint8, seed int64, loads []byte) {
+		d := 1 + int(dIn)%63
+		// d⁺ ≤ 64 keeps the rotor-router flat.
+		algo, loops, negative := fuzzScheme(algoIn, d, int(loopsIn)%(65-d), seed)
+		g := graph.Complete(2) // the only connected 1-regular graph
+		if d > 1 {
+			g = graph.RandomRegular(2*d+2, d, seed) // 2d+2 is even, so n·d is too
+		}
+		b := graph.WithLoops(g, loops)
+		x1 := make([]int64, b.N())
+		for u := range x1 {
+			x1[u] = fuzzLoad(loads, u, negative)
+		}
+		flat := core.MustEngine(b, algo, x1)
+		// Embedding only the Balancer interface hides BindFlat, so this
+		// engine binds per-node balancers and pushes per-arc sends.
+		perNode := core.MustEngine(b, struct{ core.Balancer }{algo}, x1)
+		for round := 1; round <= 6; round++ {
+			if err := flat.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := perNode.Step(); err != nil {
+				t.Fatal(err)
+			}
+			for u, want := range perNode.Loads() {
+				if got := flat.Loads()[u]; got != want {
+					t.Fatalf("%s d=%d d°=%d round %d node %d: compressed engine %d, per-node %d",
+						algo.Name(), d, loops, round, u, got, want)
+				}
+			}
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -282,5 +284,68 @@ func TestEngineConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExtraBitsRows pins every row of the mask decoder's table to the bits of
+// its byte: extraBits[b][i] is 1 exactly when bit i of b is set.
+func TestExtraBitsRows(t *testing.T) {
+	for b := range extraBits {
+		for i, v := range extraBits[b] {
+			if want := int8(b>>i) & 1; v != want {
+				t.Fatalf("extraBits[%#02x][%d] = %d, want %d", b, i, v, want)
+			}
+		}
+	}
+}
+
+// TestExtraDecodersMatchBits holds pushExtra and expandExtra to a per-bit
+// reference at every degree the mask covers, including the full-row (d = 8,
+// 16, …, 64) and tail-only (d < 8) shapes, on random masks of d bits, random
+// bases and a zero mask; expandExtra also on sub-ranges [lo, hi) of the
+// nodes, as the worker pool calls it.
+func TestExtraDecodersMatchBits(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	const n = 7
+	for d := 1; d <= 64; d++ {
+		bp := make([]int64, 2*n)
+		heads := make([]int32, n*d)
+		for u := 0; u < n; u++ {
+			bp[2*u] = rng.Int64N(2001) - 1000
+			if u != 3 { // node 3 keeps a zero mask: the base-only loop
+				m := rng.Uint64()
+				if d < 64 {
+					m &= 1<<uint(d) - 1
+				}
+				bp[2*u+1] = int64(m)
+			}
+		}
+		for p := range heads {
+			heads[p] = int32(rng.IntN(n))
+		}
+		for _, r := range [][2]int{{0, n}, {2, 5}, {4, 4}} {
+			lo, hi := r[0], r[1]
+			wantPush := make([]int64, n)
+			wantSends := make([]int64, n*d)
+			for u := lo; u < hi; u++ {
+				for i := 0; i < d; i++ {
+					s := bp[2*u] + int64(uint64(bp[2*u+1])>>uint(i)&1)
+					wantSends[u*d+i] = s
+					wantPush[heads[u*d+i]] += s
+				}
+			}
+			if lo == 0 && hi == n {
+				push := make([]int64, n)
+				pushExtra(push, heads, bp, d)
+				if !slices.Equal(push, wantPush) {
+					t.Fatalf("d=%d: pushExtra = %v, want %v", d, push, wantPush)
+				}
+			}
+			sends := make([]int64, n*d)
+			expandExtra(sends, bp, d, lo, hi)
+			if !slices.Equal(sends, wantSends) {
+				t.Fatalf("d=%d [%d,%d): expandExtra = %v, want %v", d, lo, hi, sends, wantSends)
+			}
+		}
 	}
 }

@@ -5,7 +5,10 @@
 # runners never need a writable checkout):
 #
 #   BENCH_step.json    — the BenchmarkStep* hot-path benchmarks plus the
-#                        spectral gap (analytic and Lanczos);
+#                        spectral gap (analytic and Lanczos); the rotor-router
+#                        round is recorded at engine widths 1 and 2 side by
+#                        side (StepHypercube12RotorRouterW1/W2,
+#                        StepRotorRouterW2);
 #   BENCH_sweep.json   — the BenchmarkSweep* harness benchmarks (concurrent
 #                        sweep vs the serial analysis.Run loop, warm and cold
 #                        gap cache, and the cold expander-headline family at
@@ -34,7 +37,8 @@
 # directory, the baseline is carried over from the checked-in repo-root
 # file); pass BASELINE=1 to (re)record the current results as the baseline
 # instead. scripts/bench_compare.sh diffs a fresh -o directory against the
-# checked-in files — the CI bench-regression gate.
+# checked-in files — the CI bench-regression gate. To back a speed claim
+# with parent/change pairs on one machine, use scripts/bench_pairs.sh.
 #
 # Usage:
 #   scripts/bench.sh                 # refresh the "current" sections in-repo
