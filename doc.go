@@ -18,9 +18,10 @@
 //     backing arrays sub-sliced per node, rounds run on a persistent worker
 //     pool with a distribute/apply barrier, and the paper's schemes
 //     distribute through a compressed (base, extra-token mask) bulk path
-//     whose masks the engine decodes a byte at a time through one table —
-//     Step performs zero steady-state allocations, and load trajectories are
-//     bit-identical for every worker count (see internal/core);
+//     whose masks the serial engine decodes a byte at a time through one
+//     table — Step performs zero steady-state allocations, and load
+//     trajectories are bit-identical for every worker count (see
+//     internal/core);
 //   - spectral utilities (eigenvalue gap µ, balancing time T = O(log(Kn)/µ)),
 //     with Lanczos solver results memoized per graph behind weak references;
 //   - the experiment harness regenerating the paper's Table 1 and one

@@ -59,10 +59,10 @@ type Balancer interface {
 // the paper: in any round, the tokens a node sends over its original edges
 // take only two values, a per-node base q and q+1. A node's whole
 // distribution therefore compresses to the pair (q, mask) — mask bit i set
-// iff edge i receives the extra token. The engine decodes the pairs itself,
-// a mask byte at a time through a 256-row table of per-arc extra tokens:
-// the serial engine pushes them straight onto the arcs' heads, and only
-// flow tracking, auditors, faults or a parallel round materialize the
+// iff edge i receives the extra token. The engine decodes the pairs itself:
+// the serial engine pushes them straight onto the arcs' heads, reading a
+// mask a byte at a time through a 256-row table of per-arc extra tokens, and
+// only flow tracking, auditors, faults or a parallel round materialize the
 // per-arc sends array.
 //
 // DistributeRange must, for every node u in [lo, hi), write

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 
@@ -39,9 +40,7 @@ type Engine struct {
 	// materialized from them every round (flow tracking and auditors read
 	// it; the parallel gather also wants one load per arc). The serial
 	// engine without auditing skips materialization entirely and pushes
-	// inflows straight from the compressed pairs. Both the push and the
-	// materialization decode a mask a byte at a time through the extraBits
-	// table (pushExtra, expandExtra).
+	// inflows straight from the compressed pairs (pushExtra).
 	bulk        RangeDistributor
 	bp          []int64
 	expandSends bool
@@ -312,22 +311,32 @@ func (e *Engine) Discrepancy() int64 { return Discrepancy(e.x) }
 // distributePhase runs phase 1 on the node range [lo, hi): every node
 // distributes its load — a pure function of (node state, x_t) — and the
 // tokens it keeps are written to next[u] while the node's sends are still
-// cache-hot (the apply phase then only adds the inflows). A bulk distributor
-// writes (base, mask) pairs, which expandExtra turns into per-arc sends only
-// when a reader of that array is present. When flow tracking is on, this
-// round's sends are folded into the cumulative F_t(e) counters here too.
-// Both fusions are safe because next[u], flows[u] and sends[u] are written
-// only by the worker that owns u.
+// cache-hot (the apply phase then only adds the inflows). When flow tracking
+// is on, this round's sends are folded into the cumulative F_t(e) counters
+// here too. Both fusions are safe because next[u], flows[u] and sends[u] are
+// written only by the worker that owns u.
 func (e *Engine) distributePhase(lo, hi int) {
 	faulted := e.topo != nil && e.topo.faulted
 	if e.bulk != nil {
 		e.bulk.DistributeRange(e.x, e.bp, e.next, lo, hi)
-		// The parallel apply gather always reads the per-arc array; the
-		// serial step only needs it for flow tracking and auditors — or to
-		// give the fault overlay's bounce pass per-arc sends to mask — and
-		// otherwise pushes straight from the (base, mask) pairs.
+		// Expand (base, mask) into the per-arc sends: a uniform fill plus
+		// one increment per set mask bit. The parallel apply gather always
+		// reads the per-arc array; the serial step only needs it for flow
+		// tracking and auditors — or to give the fault overlay's bounce pass
+		// per-arc sends to mask — and otherwise pushes straight from the
+		// (base, mask) pairs.
 		if e.kern.Width() > 1 || e.expandSends || faulted {
-			expandExtra(e.sendsFlat, e.bp, e.d, lo, hi)
+			d, bp, sends := e.d, e.bp, e.sendsFlat
+			for u := lo; u < hi; u++ {
+				base := bp[2*u]
+				su := sends[u*d : (u+1)*d]
+				for i := range su {
+					su[i] = base
+				}
+				for m := uint64(bp[2*u+1]); m != 0; m &= m - 1 {
+					su[bits.TrailingZeros64(m)]++
+				}
+			}
 		}
 	} else {
 		x, next := e.x, e.next
@@ -401,9 +410,8 @@ func (e *Engine) applySerial() {
 
 // extraBits[b][i] is bit i of the byte b as a token count. One byte of an
 // extra-token mask thus selects the row of extra tokens for eight
-// consecutive arcs, and both decoders below walk a mask a byte at a time
-// with no per-arc shift; a degree tail shorter than eight reads the same
-// row.
+// consecutive arcs: pushExtra walks a mask a byte at a time with no per-arc
+// shift, and a degree tail shorter than eight reads the same row.
 var extraBits = func() (t [256][8]int8) {
 	for b := range t {
 		for i := range t[b] {
@@ -444,35 +452,6 @@ func pushExtra(dst []int64, heads []int32, bp []int64, d int) {
 		row := &extraBits[uint8(m)]
 		for i, h := range hu {
 			dst[h] += base + int64(row[i&7])
-		}
-	}
-}
-
-// expandExtra materializes the per-arc sends of the nodes in [lo, hi) from
-// their (base, mask) pairs: sends[u*d+i] = base + bit_i(mask), through the
-// same rows as pushExtra.
-//
-//detcheck:noalloc
-func expandExtra(sends, bp []int64, d, lo, hi int) {
-	sends, bp = sends[lo*d:hi*d], bp[2*lo:2*hi]
-	for ; len(bp) >= 2; bp = bp[2:] {
-		base, m := bp[0], uint64(bp[1])
-		su := sends[:d:d]
-		sends = sends[d:]
-		for ; len(su) >= 8; su, m = su[8:], m>>8 {
-			row := &extraBits[uint8(m)]
-			su[0] = base + int64(row[0])
-			su[1] = base + int64(row[1])
-			su[2] = base + int64(row[2])
-			su[3] = base + int64(row[3])
-			su[4] = base + int64(row[4])
-			su[5] = base + int64(row[5])
-			su[6] = base + int64(row[6])
-			su[7] = base + int64(row[7])
-		}
-		row := &extraBits[uint8(m)]
-		for i := range su {
-			su[i] = base + int64(row[i&7])
 		}
 	}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench_pairs.sh — paired parent/change micro-benchmark driver.
 #
-# Builds the test binary of one package twice, once from the parent commit
+# Builds the root package's test binary twice, once from the parent commit
 # and once from the working tree, then runs the two binaries alternately,
 # PAIRS times per benchmark regex. The side that runs first alternates from
 # pair to pair, so a slow host spell lands on both sides instead of on one.
@@ -15,12 +15,13 @@
 # directory, which is removed on exit.
 #
 # Usage:
-#   scripts/bench_pairs.sh [-n PAIRS] [-b BASE] [-p PKG] [-t BENCHTIME] REGEX...
+#   scripts/bench_pairs.sh [-n PAIRS] [-b BASE] REGEX...
 #
-#   -n PAIRS      pairs per regex (default 10, minimum 2)
-#   -b BASE       ref whose merge-base with HEAD is the parent (default HEAD)
-#   -p PKG        package directory holding the benchmarks (default .)
-#   -t BENCHTIME  -test.benchtime per run (default 1s)
+#   -n PAIRS  pairs per regex (default and minimum 10: fewer pairs cannot
+#             back a claimed gain)
+#   -b BASE   ref whose merge-base with HEAD is the parent (default HEAD)
+#
+# Every run uses Go's default benchtime, as scripts/bench.sh does.
 #
 # Example:
 #   scripts/bench_pairs.sh -b HEAD~1 'StepHypercube12' 'StepRotorRouter$'
@@ -28,16 +29,12 @@ set -euo pipefail
 
 PAIRS=10
 BASE=HEAD
-PKG=.
-BENCHTIME=1s
-while getopts "n:b:p:t:h" flag; do
+while getopts "n:b:h" flag; do
   case "$flag" in
     n) PAIRS="$OPTARG" ;;
     b) BASE="$OPTARG" ;;
-    p) PKG="$OPTARG" ;;
-    t) BENCHTIME="$OPTARG" ;;
     h) grep '^#' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
-    *) echo "usage: bench_pairs.sh [-n PAIRS] [-b BASE] [-p PKG] [-t BENCHTIME] REGEX..." >&2; exit 2 ;;
+    *) echo "usage: bench_pairs.sh [-n PAIRS] [-b BASE] REGEX..." >&2; exit 2 ;;
   esac
 done
 shift $((OPTIND - 1))
@@ -45,8 +42,8 @@ if [[ $# -eq 0 ]]; then
   echo "bench_pairs.sh: at least one benchmark regex is required" >&2
   exit 2
 fi
-if ! [[ "$PAIRS" =~ ^[0-9]+$ ]] || (( PAIRS < 2 )); then
-  echo "bench_pairs.sh: -n must be an integer >= 2" >&2
+if ! [[ "$PAIRS" =~ ^[0-9]+$ ]] || (( PAIRS < 10 )); then
+  echo "bench_pairs.sh: -n must be an integer >= 10" >&2
   exit 2
 fi
 for tool in go git awk; do
@@ -61,15 +58,14 @@ trap 'rm -rf "$WORK"' EXIT
 mkdir "$WORK/src"
 git -C "$ROOT" archive "$PARENT" | tar -x -C "$WORK/src"
 echo "parent $PARENT, change = working tree of $ROOT" >&2
-(cd "$WORK/src/$PKG" && go test -c -o "$WORK/parent.test" .)
-(cd "$ROOT/$PKG" && go test -c -o "$WORK/change.test" .)
+(cd "$WORK/src" && go test -c -o "$WORK/parent.test" .)
+(cd "$ROOT" && go test -c -o "$WORK/change.test" .)
 
 # run SIDE REGEX — one benchmark run; appends "side name ns/op" lines.
 run() {
   local side="$1" regex="$2" dir
-  if [[ "$side" == parent ]]; then dir="$WORK/src/$PKG"; else dir="$ROOT/$PKG"; fi
-  (cd "$dir" && "$WORK/$side.test" -test.run '^$' -test.bench "$regex" \
-    -test.benchtime "$BENCHTIME" -test.count 1) |
+  if [[ "$side" == parent ]]; then dir="$WORK/src"; else dir="$ROOT"; fi
+  (cd "$dir" && "$WORK/$side.test" -test.run '^$' -test.bench "$regex" -test.count 1) |
     awk -v side="$side" '/^Benchmark/ && $4 == "ns/op" {
         name = $1; sub(/-[0-9]+$/, "", name); print side, name, $3 }'
 }
