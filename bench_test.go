@@ -535,6 +535,46 @@ func BenchmarkRandomRegularSampling(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphHypercube12 measures one hypercube:12 build (4096 nodes,
+// 49,152 arcs, the kernel-hypercube graph): the flat heads array, the
+// symmetry check and the reverse index.
+func BenchmarkGraphHypercube12(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if g := detlb.Hypercube(12); g.N() != 4096 {
+			b.Fatal("bad graph")
+		}
+	}
+}
+
+// BenchmarkBindColdExpander measures Family.Bind of one cold
+// expander-headline-shaped family — random 8-regular graphs on 128, 256 and
+// 512 nodes × send-floor, rotor-router and biased rounding — on a fresh
+// graph seed every iteration, so all three graphs are sampled: the serial
+// bind a cold POST runs before any gap solve or round. The families are
+// parsed before the timer starts.
+func BenchmarkBindColdExpander(b *testing.B) {
+	fams := make([]*scenario.Family, b.N)
+	for i := range fams {
+		s := i + 1
+		fam, err := scenario.ParseFamily(
+			fmt.Sprintf("random:128,8,%d;random:256,8,%d;random:512,8,%d", s, s, s),
+			"send-floor;rotor-router;biased", "point", "", "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		fam.Run = scenario.RunParams{Patience: 2048}
+		fams[i] = fam
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, fam := range fams {
+		if specs, _, err := fam.Bind(); err != nil || len(specs) != 9 {
+			b.Fatal(len(specs), err)
+		}
+	}
+}
+
 // BenchmarkContinuousStep measures one continuous diffusion round on a
 // 1024-node expander — the substrate of the [4] baseline and of T estimates.
 func BenchmarkContinuousStep(b *testing.B) {
