@@ -49,7 +49,10 @@ type Engine struct {
 	next []int64 // scratch for the apply phase
 
 	// sendsFlat[u*d+i] = tokens over u's i-th original edge this round;
-	// sends[u] is the header sendsFlat[u*d : (u+1)*d].
+	// sends[u] is the header sendsFlat[u*d : (u+1)*d]. Both stay nil on the
+	// serial bulk path without auditors or flow tracking, which pushes from
+	// bp instead, until a topology delta first faults the engine
+	// (ensureSends).
 	sendsFlat []int64
 	sends     [][]int64
 
@@ -134,6 +137,13 @@ func flatPerNode(n, stride int) ([]int64, [][]int64) {
 	return flat, headers
 }
 
+// ensureSends allocates the per-arc sends array on first need.
+func (e *Engine) ensureSends() {
+	if e.sendsFlat == nil {
+		e.sendsFlat, e.sends = flatPerNode(e.bal.N(), e.d)
+	}
+}
+
 // NewEngine binds algo to the balancing graph b with initial load vector x1.
 // The initial vector is copied.
 //
@@ -153,7 +163,6 @@ func NewEngine(b *graph.Balancing, algo Balancer, x1 []int64, opts ...Option) (*
 		revPos: b.Graph().RevArcPos(),
 		d:      b.Degree(),
 	}
-	e.sendsFlat, e.sends = flatPerNode(b.N(), b.Degree())
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -177,6 +186,9 @@ func NewEngine(b *graph.Balancing, algo Balancer, x1 []int64, opts ...Option) (*
 	e.kern = NewKernel(e.workers)
 	if e.kern.Width() > 1 {
 		runtime.AddCleanup(e, func(k *Kernel) { k.Close() }, e.kern)
+	}
+	if e.bulk == nil || e.expandSends || e.kern.Width() > 1 {
+		e.ensureSends()
 	}
 	e.distribute = e.distributePhase
 	e.apply = e.applyPhase

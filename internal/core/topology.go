@@ -192,6 +192,8 @@ func (e *Engine) ApplyTopologyDelta(delta TopologyDelta) (TopologyChange, error)
 		}
 		e.topo = newTopoState(n, d)
 	}
+	// A faulted round bounces dead arcs' sends, so it needs them per arc.
+	e.ensureSends()
 	t := e.topo
 
 	var ch TopologyChange

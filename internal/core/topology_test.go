@@ -398,3 +398,40 @@ func TestFaultedStepAllocates(t *testing.T) {
 		t.Fatalf("faulted Step allocates %v per round, want 0", allocs)
 	}
 }
+
+// TestSendsAllocatedWhereRead pins where the engine keeps the n·d per-arc
+// sends array: not on the serial bulk path without auditors or flow
+// tracking, which pushes from the (base, mask) pairs, but at construction
+// for the per-node path, width 2, auditors and flow tracking, and on the
+// first topology delta that can fault it.
+func TestSendsAllocatedWhereRead(t *testing.T) {
+	b := graph.Lazy(graph.CliqueCirculant(64, 6))
+	x := pointMass(64, 10000)
+	// The kernel clamps its width to GOMAXPROCS.
+	wide := MustEngine(b, flatEvenSplit{}, x, WithWorkers(2))
+	for _, c := range []struct {
+		name string
+		eng  *Engine
+		want bool
+	}{
+		{"serial bulk", MustEngine(b, flatEvenSplit{}, x), false},
+		{"per-node", MustEngine(b, evenSplit{}, x), true},
+		{"width 2", wide, wide.kern.Width() > 1},
+		{"auditor", MustEngine(b, flatEvenSplit{}, x, WithAuditor(NewMinShareAuditor())), true},
+		{"flows", MustEngine(b, flatEvenSplit{}, x, WithFlowTracking()), true},
+	} {
+		if got := c.eng.sendsFlat != nil; got != c.want {
+			t.Errorf("%s: sends allocated = %v, want %v", c.name, got, c.want)
+		}
+		c.eng.Close()
+	}
+	eng := MustEngine(b, flatEvenSplit{}, x)
+	mustDelta(t, eng, TopologyDelta{})
+	if eng.sendsFlat != nil {
+		t.Fatal("an empty delta on a pristine engine allocated the sends array")
+	}
+	mustDelta(t, eng, TopologyDelta{FailLinks: [][2]int{{0, 1}}})
+	if eng.sendsFlat == nil {
+		t.Fatal("a faulting delta left the sends array unallocated")
+	}
+}

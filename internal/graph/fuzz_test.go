@@ -1,16 +1,19 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 )
 
 // FuzzGraphNew holds New to a map-counting reference on small fuzzed
 // adjacencies (n ≤ 16, d ≤ 6), including ragged rows and asymmetric,
-// out-of-range and self arcs. data[0] picks n, data[1] picks d, and the
-// remaining bytes, read as int8, fill the rows in order; a short tail leaves
-// the last rows short. The checked-in corpus under testdata/fuzz keeps valid
-// and invalid shapes in the seed set.
+// out-of-range and self arcs, and holds New and CheckSymmetric to the
+// row-sorting constructor and check they replaced (refNew,
+// refCheckSymmetric): the same error message, or the same graph. data[0]
+// picks n, data[1] picks d, and the remaining bytes, read as int8, fill the
+// rows in order; a short tail leaves the last rows short. The checked-in
+// corpus under testdata/fuzz keeps valid and invalid shapes in the seed set.
 func FuzzGraphNew(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -28,9 +31,17 @@ func FuzzGraphNew(f *testing.F) {
 		if want := referenceAccepts(adj); (err == nil) != want {
 			t.Fatalf("New(%v) error %v, reference accepts %v", adj, err, want)
 		}
+		ref, refErr := refNew("fuzz", adj)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("New(%v) error %v, refNew error %v", adj, err, refErr)
+		}
+		if got, want := fmt.Sprint(CheckSymmetric(adj)), fmt.Sprint(refCheckSymmetric(adj)); got != want {
+			t.Fatalf("CheckSymmetric(%v) = %s, reference %s", adj, got, want)
+		}
 		if err != nil {
 			return
 		}
+		sameGraph(t, g, ref)
 		if g.N() != n || g.Degree() != d {
 			t.Fatalf("n=%d d=%d, want %d %d", g.N(), g.Degree(), n, d)
 		}

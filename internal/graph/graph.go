@@ -23,7 +23,7 @@ import (
 
 // Graph is a symmetric directed d-regular multigraph on n nodes.
 //
-// Invariants (checked by New and Validate):
+// Invariants (checked on construction and by Validate):
 //   - every node has exactly d out-neighbors,
 //   - the arc multiset is symmetric: the number of arcs u->v equals the
 //     number of arcs v->u for every pair (u, v),
@@ -32,6 +32,11 @@ import (
 // The arcs are stored once, in CSR form with implicit offsets: the arc
 // (u, i) has position p = u*d + i, and node u's d out-neighbors occupy
 // heads[u*d : (u+1)*d]. The reverse index is kept in the same layout.
+//
+// Every graph comes out of one constructor, which takes the flat heads
+// array, checks the invariants and builds the reverse index. The family
+// constructors in this package write heads directly; New flattens its
+// adjacency rows into heads first.
 type Graph struct {
 	name string
 	n    int
@@ -74,51 +79,77 @@ func (g *Graph) SetNu2(nu2 float64) {
 // whether one was recorded.
 func (g *Graph) Nu2() (float64, bool) { return g.nu2, g.hasNu2 }
 
-// New validates an adjacency list and flattens it into the graph's CSR
-// arrays. Row u lists u's out-neighbors in arc order; the caller keeps
-// ownership of adj, which the graph does not retain.
+// New validates an adjacency list and builds a graph from it. Row u lists
+// u's out-neighbors in arc order; the rows are flattened into the CSR heads
+// array and handed to the same constructor the families use, so the caller
+// keeps ownership of adj, which the graph does not retain.
 func New(name string, adj [][]int) (*Graph, error) {
 	n := len(adj)
 	if n == 0 {
 		return nil, errors.New("graph: empty adjacency list")
 	}
 	d := len(adj[0])
-	if d == 0 {
-		return nil, fmt.Errorf("graph %s: degree must be positive, got 0", name)
-	}
 	for u, nbrs := range adj {
-		if len(nbrs) != d {
+		// A zero degree is reported by checkShape, ahead of ragged rows.
+		if d > 0 && len(nbrs) != d {
 			return nil, fmt.Errorf("graph %s: node %d has out-degree %d, want %d", name, u, len(nbrs), d)
 		}
 	}
-	if int64(n)*int64(d) > 1<<31-1 {
-		return nil, fmt.Errorf("graph %s: %d×%d arcs overflow the int32 flat index", name, n, d)
+	// Checked before flattening, so an arc count past int32 is never
+	// allocated.
+	if err := checkShape(name, n, d); err != nil {
+		return nil, err
 	}
-	if err := CheckSymmetric(adj); err != nil {
-		return nil, fmt.Errorf("graph %s: %w", name, err)
-	}
-	g := &Graph{name: name, n: n, d: d, heads: make([]int32, 0, n*d)}
+	heads := make([]int32, 0, n*d)
 	for _, nbrs := range adj {
 		for _, v := range nbrs {
-			g.heads = append(g.heads, int32(v))
+			if v < 0 || v >= n {
+				// An out-of-range neighbor could wrap into range as an
+				// int32, so the rows themselves name the first bad arc.
+				return nil, fmt.Errorf("graph %s: %w", name, CheckSymmetric(adj))
+			}
+			heads = append(heads, int32(v))
 		}
 	}
-	// Every node has in-degree exactly d, so node v's reverse entries occupy
-	// revPos[v*d : (v+1)*d]; a single cursor pass fills them in arc order.
-	g.revPos = make([]int32, n*d)
-	cursor := make([]int32, n)
-	for v := range cursor {
-		cursor[v] = int32(v * d)
+	return newGraph(name, n, d, heads)
+}
+
+// newGraph is the one constructor behind New and every family. It takes
+// ownership of heads (n·d entries, node u's out-neighbors at
+// heads[u*d : (u+1)*d]), checks the Graph invariants and keeps the reverse
+// index the symmetry check builds.
+func newGraph(name string, n, d int, heads []int32) (*Graph, error) {
+	if err := checkShape(name, n, d); err != nil {
+		return nil, err
 	}
-	for p, v := range g.heads {
-		g.revPos[cursor[v]] = int32(p)
-		cursor[v]++
+	// Symmetry gives every node in-degree d, so node v's reverse entries
+	// occupy revPos[v*d : (v+1)*d].
+	revPos, revSrc, err := reverseIndex(n, func(u int) []int32 { return heads[u*d : (u+1)*d] })
+	if err != nil {
+		return nil, fmt.Errorf("graph %s: %w", name, err)
 	}
-	g.revSrc = make([]int32, n*d)
-	for k, p := range g.revPos {
-		g.revSrc[k] = p / int32(d)
+	return &Graph{name: name, n: n, d: d, heads: heads, revPos: revPos, revSrc: revSrc}, nil
+}
+
+// checkShape rejects a zero degree and an arc count past the int32 flat
+// index.
+func checkShape(name string, n, d int) error {
+	if d == 0 {
+		return fmt.Errorf("graph %s: degree must be positive, got 0", name)
 	}
-	return g, nil
+	if int64(n)*int64(d) > 1<<31-1 {
+		return fmt.Errorf("graph %s: %d×%d arcs overflow the int32 flat index", name, n, d)
+	}
+	return nil
+}
+
+// must panics on a constructor error; the family constructors build
+// statically valid graphs through it.
+func must(g *Graph, err error) *Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // Heads returns the flat CSR adjacency: heads[u*d+i] is the head of the arc
@@ -134,15 +165,9 @@ func (g *Graph) RevArcPos() []int32 { return g.revPos }
 // (RevArcPos entry-wise divided by d). Shared; do not modify.
 func (g *Graph) RevArcSrc() []int32 { return g.revSrc }
 
-// MustNew is New for statically known-good constructions; it panics on error.
-// It is intended for the family constructors in this package and for tests.
-func MustNew(name string, adj [][]int) *Graph {
-	g, err := New(name, adj)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
+// MustNew is New for statically known-good adjacency lists; it panics on
+// error. It is intended for tests and hand-written fixtures.
+func MustNew(name string, adj [][]int) *Graph { return must(New(name, adj)) }
 
 // Name reports the human-readable family name, e.g. "cycle(64)".
 func (g *Graph) Name() string { return g.name }
@@ -161,11 +186,7 @@ func (g *Graph) Neighbors(u int) []int32 { return g.heads[u*g.d : (u+1)*g.d] }
 // Validate re-checks the Graph invariants listed on the type against the
 // CSR store.
 func (g *Graph) Validate() error {
-	rows := make([][]int32, g.n)
-	for u := range rows {
-		rows[u] = g.Neighbors(u)
-	}
-	if err := CheckSymmetric(rows); err != nil {
+	if _, _, err := reverseIndex(g.n, g.Neighbors); err != nil {
 		return fmt.Errorf("graph %s: %w", g.name, err)
 	}
 	return nil
@@ -180,57 +201,101 @@ func (g *Graph) Validate() error {
 // smallest pair (u, v) whose two directions have different counts, so the
 // message never depends on iteration order.
 func CheckSymmetric[T int | int32](adj [][]T) error {
-	n := len(adj)
-	// Pack each arc u->v as the key u<<32|v. The multiset is symmetric iff
-	// the sorted keys equal the sorted keys of the reversed arcs; at the
-	// first position where they differ, the smaller key is the smallest pair
-	// whose two directions have different counts. Sorting each node's keys
-	// sorts arcs, since the nodes come in order; bucketing the reversed keys
-	// by head, in that order, sorts rev.
-	total := 0
-	for _, nbrs := range adj {
-		total += len(nbrs)
-	}
-	arcs := make([]uint64, 0, total)
-	start := make([]int, n+1) // in-degree of v at start[v+1], then bucket starts
-	for u, nbrs := range adj {
-		for _, v := range nbrs {
-			if v < 0 || int(v) >= n {
-				return fmt.Errorf("node %d has neighbor %d out of range [0,%d)", u, v, n)
-			}
-			if int(v) == u {
-				return fmt.Errorf("node %d has a self-arc; self-loops belong to Balancing", u)
-			}
-			arcs = append(arcs, uint64(u)<<32|uint64(v))
-			start[v+1]++
-		}
-		slices.Sort(arcs[len(arcs)-len(nbrs):])
-	}
-	for v := 0; v < n; v++ {
-		start[v+1] += start[v]
-	}
-	rev := make([]uint64, len(arcs))
-	for _, k := range arcs {
-		u, v := k>>32, k&(1<<32-1)
-		rev[start[v]] = v<<32 | u
-		start[v]++
-	}
-	for i, k := range arcs {
-		if k == rev[i] {
-			continue
-		}
-		k = min(k, rev[i])
-		u, v := int(k>>32), int(k&(1<<32-1))
-		return fmt.Errorf("asymmetric arc multiset: %d arcs %d->%d but %d arcs %d->%d",
-			countKey(arcs, k), u, v, countKey(rev, k), v, u)
-	}
-	return nil
+	_, _, err := reverseIndex(len(adj), func(u int) []T { return adj[u] })
+	return err
 }
 
-// countKey returns how often k occurs in the sorted keys.
-func countKey(keys []uint64, k uint64) int {
-	lo, _ := slices.BinarySearch(keys, k)
-	hi, _ := slices.BinarySearch(keys, k+1)
+// reverseIndex is CheckSymmetric over the n rows that row returns, the rows
+// numbering their arcs 0, 1, … in order. It returns the reverse index it
+// builds on the way: node v's in-arcs occupy one bucket, in arc order, with
+// revPos holding each in-arc's number and revSrc its tail; the buckets come
+// in node order, each as long as its node's in-degree.
+func reverseIndex[T int | int32](n int, row func(u int) []T) (revPos, revSrc []int32, err error) {
+	// The arc multiset is symmetric iff its (tail, head) pairs, sorted,
+	// equal its (head, tail) pairs, sorted; at the first position where they
+	// differ, the smaller pair is the smallest one whose two directions have
+	// different counts. Two stable counting passes sort both: the arcs come
+	// in tail order, so bucketing them by head lists each node's in-arc
+	// tails in ascending order (the reverse index), and bucketing that by
+	// tail lists each node's heads in ascending order. Neither pass compares.
+	inEnd := make([]int, n+1) // in-degree of v at inEnd[v+1], then bucket bounds
+	total := 0
+	for u := 0; u < n; u++ {
+		nbrs := row(u)
+		for _, v := range nbrs {
+			if v < 0 || int(v) >= n {
+				return nil, nil, fmt.Errorf("node %d has neighbor %d out of range [0,%d)", u, v, n)
+			}
+			if int(v) == u {
+				return nil, nil, fmt.Errorf("node %d has a self-arc; self-loops belong to Balancing", u)
+			}
+			inEnd[v+1]++
+		}
+		total += len(nbrs)
+	}
+	for v := 0; v < n; v++ {
+		inEnd[v+1] += inEnd[v]
+	}
+	revPos, revSrc = make([]int32, total), make([]int32, total)
+	p := int32(0)
+	for u := 0; u < n; u++ {
+		for _, v := range row(u) {
+			k := inEnd[v]
+			revPos[k], revSrc[k] = p, int32(u)
+			inEnd[v]++
+			p++
+		}
+	}
+	// inEnd[v] is now where v's bucket ends; outEnd[u] will be where u's
+	// sorted heads end.
+	inEnd = inEnd[:n]
+	outEnd := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		outEnd[u+1] = outEnd[u] + len(row(u))
+	}
+	sorted := make([]int32, total)
+	k := 0
+	for v := 0; v < n; v++ {
+		for ; k < inEnd[v]; k++ {
+			u := revSrc[k]
+			sorted[outEnd[u]] = int32(v)
+			outEnd[u]++
+		}
+	}
+	outEnd = outEnd[:n]
+	// Position i holds the arc u->sorted[i] of the tail order and the arc
+	// revSrc[i]->v of the head order, read as the pair (v, revSrc[i]).
+	u, v := 0, 0
+	for i := range sorted {
+		for outEnd[u] <= i {
+			u++
+		}
+		for inEnd[v] <= i {
+			v++
+		}
+		if u == v && sorted[i] == revSrc[i] {
+			continue
+		}
+		a, b := u, int(sorted[i])
+		if v < u || v == u && int(revSrc[i]) < b {
+			a, b = v, int(revSrc[i])
+		}
+		// Arcs a->b are b's among a's sorted heads; arcs b->a are b's among
+		// a's in-arc tails.
+		lo := 0
+		if a > 0 {
+			lo = inEnd[a-1]
+		}
+		return nil, nil, fmt.Errorf("asymmetric arc multiset: %d arcs %d->%d but %d arcs %d->%d",
+			count(sorted[outEnd[a]-len(row(a)):outEnd[a]], b), a, b, count(revSrc[lo:inEnd[a]], b), b, a)
+	}
+	return revPos, revSrc, nil
+}
+
+// count returns how often x occurs in the ascending s.
+func count(s []int32, x int) int {
+	lo, _ := slices.BinarySearch(s, int32(x))
+	hi, _ := slices.BinarySearch(s, int32(x+1))
 	return hi - lo
 }
 

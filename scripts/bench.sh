@@ -5,10 +5,12 @@
 # runners never need a writable checkout):
 #
 #   BENCH_step.json    — the BenchmarkStep* hot-path benchmarks plus the
-#                        spectral gap (analytic and Lanczos); the rotor-router
-#                        round is recorded at engine widths 1 and 2 side by
-#                        side (StepHypercube12RotorRouterW1/W2,
-#                        StepRotorRouterW2);
+#                        spectral gap (analytic and Lanczos) and graph
+#                        construction (random 8-regular sampling, the
+#                        hypercube:12 build and the cold expander family's
+#                        Family.Bind); the rotor-router round is recorded at
+#                        engine widths 1 and 2 side by side
+#                        (StepHypercube12RotorRouterW1/W2, StepRotorRouterW2);
 #   BENCH_sweep.json   — the BenchmarkSweep* harness benchmarks (concurrent
 #                        sweep vs the serial analysis.Run loop, warm and cold
 #                        gap cache, and the cold expander-headline family at
@@ -31,7 +33,11 @@
 #                        aggregation, and CSV encoding over a 1000-cell
 #                        warmed index).
 #
-# Each run uses -benchmem -count=$COUNT. The "baseline" section of an
+# Each run uses -benchmem -count=$COUNT. With PATTERN set, only the matching
+# benchmarks run, into OUT (default BENCH_step.json): their results are
+# merged into the file's existing "current" section, every other recorded
+# entry and the note are kept, so a partial refresh never drops a benchmark
+# from the gate. The "baseline" section of an
 # existing output file is preserved across runs so future PRs always compare
 # against the recorded pre-refactor numbers (when -o points at a fresh
 # directory, the baseline is carried over from the checked-in repo-root
@@ -70,10 +76,13 @@ COUNT="${COUNT:-5}"
 RAW_FILES=()
 trap 'rm -f ${RAW_FILES[@]+"${RAW_FILES[@]}"}' EXIT
 
-# record PATTERN OUT NOTE — run one benchmark family and write its JSON.
+# record PATTERN OUT NOTE [merge] — run one benchmark family and write its
+# JSON. With a fourth argument "merge", the results are merged into the
+# existing file's "current" section (the written file, else the checked-in
+# one) and its note is kept.
 record() {
-  local pattern="$1" out="$OUTDIR/$2" checked_in="$ROOT/$2" note="$3"
-  local raw results base_json
+  local pattern="$1" out="$OUTDIR/$2" checked_in="$ROOT/$2" note="$3" merge="${4:-}"
+  local raw results base_json prior
   raw="$(mktemp)"
   RAW_FILES+=("$raw")
 
@@ -100,6 +109,19 @@ record() {
                             then {runs_per_sec_max: ([.[].runs_per_sec] | max)}
                             else {} end))}) |
             from_entries')"
+
+  if [[ "$merge" == "merge" ]]; then
+    prior=""
+    if [[ -f "$out" ]]; then
+      prior="$out"
+    elif [[ -f "$checked_in" ]]; then
+      prior="$checked_in"
+    fi
+    if [[ -n "$prior" ]]; then
+      results="$(jq --argjson fresh "$results" '(.current // {}) + $fresh' "$prior")"
+      note="$(jq -r --arg note "$note" '.note // $note' "$prior")"
+    fi
+  fi
 
   base_json='{}'
   if [[ "${BASELINE:-0}" == "1" ]]; then
@@ -128,12 +150,12 @@ record() {
 }
 
 if [[ -n "${PATTERN:-}" ]]; then
-  record "$PATTERN" "${OUT:-BENCH_step.json}" "custom pattern run"
+  record "$PATTERN" "${OUT:-BENCH_step.json}" "custom pattern run" merge
   exit 0
 fi
 
-record 'BenchmarkStep|BenchmarkSpectralGap' BENCH_step.json \
-  "ns_op_min is the noise-robust statistic on shared machines; baseline is the pre-refactor engine (see CHANGES.md)"
+record 'BenchmarkStep|BenchmarkSpectralGap|BenchmarkRandomRegularSampling|BenchmarkGraphHypercube12|BenchmarkBindColdExpander' BENCH_step.json \
+  "ns_op_min is the noise-robust statistic on shared machines; baseline is the pre-refactor engine (see CHANGES.md). RandomRegularSampling, GraphHypercube12 and BindColdExpander time graph construction: one random 8-regular graph on 512 nodes, one hypercube:12, and the Family.Bind of a cold expander-headline-shaped family (three fresh random graphs, 9 cells)."
 
 record 'BenchmarkSweep' BENCH_sweep.json \
   "100-spec sweep acceptance numbers: Sweep100 is the concurrent harness (a fresh engine per spec, gap memoized); SerialColdGap is the pre-sweep equivalent loop (gap recomputed per run, fresh engine per run); SerialWarmGap is that loop with the gap memo warm, so its difference to Sweep100 is the sweep's scheduling. allocs_op is per 100 runs. SweepColdExpander/workers=1|2 is one cold expander-headline family (9 cells, freshly bound graphs, every gap solved cold) at sweep widths 1 and 2; allocs_op is per family."
