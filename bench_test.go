@@ -156,6 +156,36 @@ func BenchmarkSweepColdExpander(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepKernelHypercube measures the sweep of one kernel-hypercube
+// POST: rotor-router and send-floor, 400 rounds each on hypercube:12 from
+// random loads, at sweep width 2, bound afresh each iteration outside the
+// timer. The send-floor cell's cycle detector stops it stepping early, and
+// its runner then helps the rotor-router cell's rounds.
+func BenchmarkSweepKernelHypercube(b *testing.B) {
+	fam, err := scenario.ParseFamily("hypercube:12", "rotor-router;send-floor", "random:1024,7", "", "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fam.Run = scenario.RunParams{Rounds: 400}
+	b.ReportAllocs()
+	var cells int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		specs, _, err := fam.Bind()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells = len(specs)
+		b.StartTimer()
+		for _, res := range detlb.Sweep(specs, detlb.SweepOptions{Workers: 2}) {
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+		}
+	}
+	reportSweepMetrics(b, cells)
+}
+
 // --- dynamic workloads ------------------------------------------------------
 
 // dynamicBenchSpec is the shocked-run benchmark instance: a 256-node expander
@@ -407,8 +437,8 @@ func BenchmarkStepRotorRouter(b *testing.B) { benchStep(b, detlb.NewRotorRouter(
 func BenchmarkStepRotorRouterParallel(b *testing.B) { benchStep(b, detlb.NewRotorRouter(), 8) }
 
 // BenchmarkStepRotorRouterW2 measures the same round at engine width 2: the
-// distribute phase materializes per-arc sends and the apply phase gathers
-// them, on a two-worker pool.
+// stepping goroutine and one helper each distribute half the nodes and push
+// their arcs, then fold the helper's accumulator into the loads.
 func BenchmarkStepRotorRouterW2(b *testing.B) { benchStep(b, detlb.NewRotorRouter(), 2) }
 
 // BenchmarkStepGoodS measures one good-4-balancer round (serial).
@@ -434,7 +464,7 @@ func benchStepHypercube12(b *testing.B, algo detlb.Balancer, workers int) {
 }
 
 // BenchmarkStepHypercube12RotorRouter is kernel-hypercube's critical cell
-// (serial, the width the server runs every cell at).
+// at width 0: serial here, since no helper is ever lent to it.
 func BenchmarkStepHypercube12RotorRouter(b *testing.B) {
 	benchStepHypercube12(b, detlb.NewRotorRouter(), 0)
 }

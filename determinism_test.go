@@ -4,7 +4,7 @@ package detlb_test
 // contract: the load trajectory of any run must be a pure function of
 // (graph, balancer, initial vector), independent of the worker count, the
 // chunk partition, and the distribute fast path taken. These tests pin the
-// contract the parallel apply phase, the persistent worker pool, and the
+// contract the chunked wide round, its helper goroutines, and the
 // compressed bulk distributors all rely on.
 
 import (

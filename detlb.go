@@ -94,8 +94,8 @@ type (
 )
 
 var (
-	// NewKernel builds a worker pool of the given width (clamped to
-	// GOMAXPROCS).
+	// NewKernel builds a round executor of the given width (clamped to
+	// GOMAXPROCS): the caller and width-1 helper goroutines.
 	NewKernel = core.NewKernel
 	// ChunkBounds returns the deterministic [lo, hi) slice of chunk i when
 	// n items are split across width workers.

@@ -15,13 +15,15 @@
 //     conservation) and the φ/φ′ potential functions of Section 3;
 //   - a flat-memory engine core: graphs carry a CSR-style contiguous
 //     adjacency and reverse index, per-arc engine state lives in single
-//     backing arrays sub-sliced per node, rounds run on a persistent worker
-//     pool with a distribute/apply barrier, and the paper's schemes
+//     backing arrays sub-sliced per node, and the paper's schemes
 //     distribute through a compressed (base, extra-token mask) bulk path
-//     whose masks the serial engine decodes a byte at a time through one
-//     table — Step performs zero steady-state allocations, and load
-//     trajectories are bit-identical for every worker count (see
-//     internal/core);
+//     whose masks the engine pushes onto arc heads a byte at a time through
+//     one table. Each round picks its width: serial, a fixed WithWorkers
+//     width, or width 2 while an idle sweep runner helps a large engine
+//     (Engine.Help), every chunk pushing into its own accumulator and
+//     folding after one barrier. Step performs zero steady-state
+//     allocations, and load trajectories are bit-identical for every
+//     width, even one that changes every round (see internal/core);
 //   - spectral utilities (eigenvalue gap µ, balancing time T = O(log(Kn)/µ)),
 //     with Lanczos solver results memoized per graph behind weak references;
 //   - the experiment harness regenerating the paper's Table 1 and one
@@ -59,8 +61,8 @@
 //     as a content-addressed (scenario, result) pair whose bit-identical
 //     reproducibility is the regression-tracking contract (Server,
 //     NewServer, RunArchive; see docs/serving.md);
-//   - a model-agnostic simulation kernel: the engine's parallel round
-//     executor is exported as Kernel (chunked phases, barrier, bit-identical
+//   - a model-agnostic simulation kernel: the round executor the engine
+//     runs on is exported as Kernel (chunked phases, barrier, bit-identical
 //     at every width), and the Model/ModelBuilder/Metric interfaces let any
 //     deterministic round-based dynamics run on the same sweep/stream/serve
 //     stack — the diffusion Engine is the reference implementation;

@@ -77,6 +77,16 @@ func (p *sweepProgress) specDone() {
 //     solved side by side rather than one runner waiting on another's solve.
 //     One runner runs the groups in discovery order with no warm-ups.
 //     Neither order moves a result.
+//   - A runner that finds no group left lends itself to the largest engine
+//     running in the sweep that has a helper seat (core.Lends,
+//     core.Engine.Help) and stays its helper until that run ends, so a long
+//     last cell runs its rounds at width 2 on the CPU the finished runner
+//     would leave idle. Each engine takes at most one lent runner. While no
+//     such engine runs, the runner waits as long as a group with a lending
+//     spec is still running, and exits otherwise. Runners count against core's
+//     process-wide helper budget while they run groups, so a runner lends
+//     itself only while the process has a CPU to spare. A round's width
+//     never moves a result.
 //   - The spectral gap is memoized per graph (see spectral.Gap), so a sweep
 //     over repeated graphs pays each Lanczos solve once.
 //
@@ -132,8 +142,10 @@ func SweepContext(ctx context.Context, specs []RunSpec, opt SweepOptions) []RunR
 		workers = len(order)
 	}
 	if workers <= 1 {
+		core.Occupy()
+		defer core.Release()
 		for _, g := range order {
-			runSweepGroup(ctx, specs, g.indices, results, prog)
+			runSweepGroup(ctx, specs, g.indices, results, prog, nil)
 		}
 		return results
 	}
@@ -145,13 +157,18 @@ func SweepContext(ctx context.Context, specs []RunSpec, opt SweepOptions) []RunR
 	})
 
 	tasks := make(chan func())
+	lend := newLendables()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			core.Occupy()
 			for task := range tasks {
 				task()
+			}
+			core.Release()
+			for eng := lend.take(); eng != nil && eng.Help(); eng = lend.take() {
 			}
 		}()
 	}
@@ -162,7 +179,18 @@ func SweepContext(ctx context.Context, specs []RunSpec, opt SweepOptions) []RunR
 		tasks <- func() { warmGap(ctx, b) }
 	}
 	for _, g := range order {
-		tasks <- func() { runSweepGroup(ctx, specs, g.indices, results, prog) }
+		// Counted before dispatch, so a runner that has run out of groups
+		// knows whether one may still start an engine it could help.
+		lending := lendingGroup(specs, g.indices)
+		if lending {
+			lend.expect(1)
+		}
+		tasks <- func() {
+			runSweepGroup(ctx, specs, g.indices, results, prog, lend)
+			if lending {
+				lend.expect(-1)
+			}
+		}
 	}
 	close(tasks)
 	wg.Wait()
@@ -243,15 +271,99 @@ func groupKey(spec RunSpec) (sweepKey, bool) {
 	return key, true
 }
 
+// lendables is the registry of a sweep's running engines that take a lent
+// helper, for runners that have run out of groups.
+type lendables struct {
+	mu      sync.Mutex
+	changed sync.Cond // signaled when an engine is added or pending drops
+	running []*core.Engine
+	pending int // dispatched groups with a spec that lends, not yet finished
+}
+
+func newLendables() *lendables {
+	l := &lendables{}
+	l.changed.L = &l.mu
+	return l
+}
+
+// lendingGroup reports whether any of the group's specs runs on an engine
+// that takes a lent helper (core.Lends).
+func lendingGroup(specs []RunSpec, indices []int) bool {
+	for _, i := range indices {
+		s := specs[i]
+		if s.Algorithm != nil && s.Model == nil && s.Balancing != nil && s.Balancing.Graph() != nil && core.Lends(s.Balancing, s.Workers) {
+			return true
+		}
+	}
+	return false
+}
+
+// add registers a running engine; remove drops it when its run ends (before
+// the engine is closed). Both accept nil as a no-op registry.
+func (l *lendables) add(e *core.Engine) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.running = append(l.running, e)
+	l.changed.Broadcast()
+	l.mu.Unlock()
+}
+
+func (l *lendables) remove(e *core.Engine) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	if i := slices.Index(l.running, e); i >= 0 {
+		l.running = slices.Delete(l.running, i, i+1)
+	}
+	l.mu.Unlock()
+}
+
+// expect adds delta to the count of pending lending groups.
+func (l *lendables) expect(delta int) {
+	l.mu.Lock()
+	l.pending += delta
+	l.changed.Broadcast()
+	l.mu.Unlock()
+}
+
+// take hands out the largest running engine by n·d⁺ and drops it from the
+// registry, so each engine gets at most one lent runner. With none running
+// it waits while a lending group is pending (it may yet start an engine),
+// and returns nil once none is.
+func (l *lendables) take() *core.Engine {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.running) == 0 && l.pending > 0 {
+		l.changed.Wait()
+	}
+	if len(l.running) == 0 {
+		return nil
+	}
+	best := 0
+	for i, e := range l.running {
+		if balancingCost(e.Balancing()) > balancingCost(l.running[best].Balancing()) {
+			best = i
+		}
+	}
+	e := l.running[best]
+	l.running = slices.Delete(l.running, best, best+1)
+	return e
+}
+
 // runSweepGroup executes one group's specs in order, each on a fresh model.
 // A done context short-circuits the remaining specs into cancellation errors.
-func runSweepGroup(ctx context.Context, specs []RunSpec, indices []int, results []RunResult, prog *sweepProgress) {
+// Engines that take a lent helper are registered in lend (nil: none) while
+// they run.
+func runSweepGroup(ctx context.Context, specs []RunSpec, indices []int, results []RunResult, prog *sweepProgress, lend *lendables) {
 	for _, i := range indices {
 		if ctx.Err() != nil {
 			results[i] = RunResult{TargetRound: -1,
 				Err: fmt.Errorf("analysis: sweep canceled: %w", context.Cause(ctx))}
 		} else {
-			res := runSweepSpec(ctx, specs[i])
+			res := runSweepSpec(ctx, specs[i], lend)
 			// An in-flight spec stopped by the context reports the round
 			// loop's "stream canceled"; relabel it so every spec of one
 			// canceled sweep — started or not — reads the same.
@@ -268,7 +380,7 @@ func runSweepGroup(ctx context.Context, specs []RunSpec, indices []int, results 
 // runSweepSpec runs one spec on a fresh model. Panics — bind-time
 // validation in balancers, hostile user implementations — are converted to
 // the spec's Err.
-func runSweepSpec(ctx context.Context, spec RunSpec) (res RunResult) {
+func runSweepSpec(ctx context.Context, spec RunSpec, lend *lendables) (res RunResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Errorf("analysis: sweep spec panicked: %v", r)
@@ -285,5 +397,9 @@ func runSweepSpec(ctx context.Context, spec RunSpec) (res RunResult) {
 		return res
 	}
 	defer m.Close()
+	if eng, ok := m.(*core.Engine); ok && eng.TakesHelper() {
+		lend.add(eng)
+		defer lend.remove(eng)
+	}
 	return runContext(ctx, spec, m, res)
 }

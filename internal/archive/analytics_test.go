@@ -48,7 +48,7 @@ func synthResult(i int) analysis.RunResult {
 
 // putSynth archives n synthetic single-cell entries (distinct family names
 // give distinct digests) and returns their digests in creation order.
-func putSynth(t *testing.T, arch *Store, n int) []string {
+func putSynth(t testing.TB, arch *Store, n int) []string {
 	t.Helper()
 	digests := make([]string, n)
 	for i := range n {
@@ -59,7 +59,7 @@ func putSynth(t *testing.T, arch *Store, n int) []string {
 
 // putSynthEntry archives one single-cell entry built from a graph spec and a
 // fabricated result, returning its digest.
-func putSynthEntry(t *testing.T, arch *Store, name, graphSpec string, res analysis.RunResult) string {
+func putSynthEntry(t testing.TB, arch *Store, name, graphSpec string, res analysis.RunResult) string {
 	t.Helper()
 	fam, err := scenario.ParseFamily(graphSpec, "send-floor", "point:64", "", "")
 	if err != nil {

@@ -7,12 +7,13 @@
 // The engine is built around a flat memory layout: per-arc state (sends,
 // cumulative flows) lives in single contiguous backing arrays of length n·d
 // indexed by arc position p = u·d+i, sub-sliced per node for the NodeBalancer
-// and Auditor interfaces, and the apply phase walks the graph's flat CSR
-// reverse index. Rounds are dispatched to a persistent worker pool (one
-// channel send per worker per round, no goroutine churn) with a barrier
-// between the distribute and apply phases; the load trajectories are
-// bit-identical for every worker count, including the serial engine, because
-// both phases are pure functions of (node state, x_t) over disjoint node
+// and Auditor interfaces, and a round pushes every arc's tokens onto its
+// head in one linear sweep of the graph's flat CSR adjacency. A round may
+// run in chunks, one on the stepping goroutine and one per helper, each
+// pushing into its own accumulator, with one barrier before the fold; its
+// width can change from round to round. The load trajectories are
+// bit-identical for every width, including the serial engine, because
+// distribution is a pure function of (node state, x_t) over disjoint node
 // ranges and token arithmetic is associative. Step performs zero heap
 // allocations in steady state.
 package core

@@ -12,23 +12,32 @@ import (
 // Engine runs the synchronous diffusive process of Section 1.3: in every
 // round each node u applies its NodeBalancer to its current load x_t(u); the
 // tokens placed on original edges move to the corresponding neighbors, all
-// other tokens stay at u. Steps are deterministic and, with Workers > 1,
-// computed in parallel with results bit-identical to the serial engine.
+// other tokens stay at u. Steps are deterministic and may run in parallel,
+// with results bit-identical to the serial engine.
 //
 // Memory layout: every per-arc quantity (sends, cumulative flows) lives in a
 // single flat backing array of length n·d indexed by arc position p = u*d+i,
 // with per-node [][]int64 headers sub-slicing it for the NodeBalancer and
-// Auditor interfaces. The apply phase reads the graph's flat reverse index
-// of arc positions, so one round is two linear passes over contiguous
-// memory. All state is allocated at construction; Step performs
-// zero allocations.
+// Auditor interfaces. A round distributes every node, then pushes its tokens
+// onto its arcs' heads in one linear sweep of the adjacency. All state is
+// allocated at construction (a lent helper's accumulator when it first
+// attaches); Step performs zero allocations.
 //
-// Scheduling: a round is one dispatch to a persistent worker pool — each
-// worker runs the distribute phase (with flow accounting fused in) on its
-// node range, meets the others at a barrier, then runs the apply phase on the
-// same range. The barrier guarantees the apply phase sees every node's sends,
-// which is exactly the property that makes the parallel schedule bit-identical
-// to the serial one: both compute the same pure function of (node state, x_t).
+// Scheduling: each round picks its own width. The serial round distributes
+// [0, n) and pushes straight into next. A round of width w splits the nodes
+// into w chunks; the stepping goroutine runs chunk 0 and a helper runs each
+// other chunk. Every chunk distributes its nodes and pushes its arcs: chunk
+// 0 into next itself (after clearing the other chunks' part of it), chunk c
+// into its helper's private n-word accumulator, kept tokens included. After
+// one barrier each chunk folds the accumulators' entries for its own nodes
+// into next and clears them. Every load is the same integer
+// sum in any order, so every split — one that changes every round
+// included — gives bit-identical loads.
+//
+// An engine built WithWorkers(w > 1) owns w-1 helpers and runs every round
+// at width w. Any other engine whose n·d⁺ reaches lendCost has one seat
+// that a goroutine with nothing else to do can take with Help: while it is
+// taken, rounds run at width 2.
 type Engine struct {
 	bal   *graph.Balancing
 	algo  Balancer
@@ -38,15 +47,14 @@ type Engine struct {
 	// bp holds the interleaved (base, extra-token mask) pairs it produces.
 	// expandSends records whether the per-arc sends array must be
 	// materialized from them every round (flow tracking and auditors read
-	// it; the parallel gather also wants one load per arc). The serial
-	// engine without auditing skips materialization entirely and pushes
-	// inflows straight from the compressed pairs (pushExtra).
+	// it). Without them the engine skips materialization entirely and
+	// pushes inflows straight from the compressed pairs (pushExtra).
 	bulk        RangeDistributor
 	bp          []int64
 	expandSends bool
 
 	x    []int64 // current loads, x_{t} at the start of round t+1 (0-based storage)
-	next []int64 // scratch for the apply phase
+	next []int64 // x_{t+1} under construction during a round
 
 	// sendsFlat[u*d+i] = tokens over u's i-th original edge this round;
 	// sends[u] is the header sendsFlat[u*d : (u+1)*d]. Both stay nil on the
@@ -66,36 +74,45 @@ type Engine struct {
 	flowsFlat []int64
 	flows     [][]int64
 
-	heads  []int32 // graph's flat CSR adjacency, cached at construction
-	revPos []int32 // graph's flat reverse index, cached at construction
-	d      int     // original degree, the stride of the flat arrays
+	heads []int32 // graph's flat CSR adjacency, cached at construction
+	d     int     // original degree, the stride of the flat arrays
 
 	round int
 
 	auditors []Auditor
 	workers  int
-	kern     *Kernel
+	// crew runs the rounds wider than 1: the engine's own helpers under
+	// WithWorkers, or the seat Help takes; nil when neither applies.
+	crew *crew
 
 	// topo is the fault overlay (per-arc alive mask, live degrees, stranded
 	// accounting), nil until the first ApplyTopologyDelta; linkScratch is its
 	// parallel-arc lookup scratch. See topology.go.
 	topo        *topoState
 	linkScratch []int32
-
-	// distribute and apply are the two phase closures, bound once at
-	// construction so Step allocates nothing.
-	distribute phaseFunc
-	apply      phaseFunc
 }
+
+// lendCost is the n·d⁺ from which an engine takes a lent helper. Ten
+// alternating runs of width-1 and width-2 Steps from uniform random loads
+// on lazy random 8-regular graphs, 2-CPU host (medians): n = 1024
+// (n·d⁺ = 16384) rotor-router 25.4 → 19.6 µs and send-floor 18.1 →
+// 14.1 µs, width 2 faster in 10/10 runs each; n = 512 (8192) rotor-router
+// 13.8 → 10.7 µs and send-floor 9.6 → 7.9 µs, faster in only 8/10. So the
+// cold expander family's cells (n·d⁺ ≤ 8192) stay serial. Larger graphs
+// gain more: three runs read hypercube:11 (45056) rotor-router 67.7 →
+// 48.4 µs and n = 4096 (65536) 129 → 86 µs.
+const lendCost = 1 << 14
 
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithWorkers sets the number of worker goroutines in the engine's persistent
-// pool. Values below 2 select the serial path; values above GOMAXPROCS are
-// clamped to it (extra workers cannot run simultaneously and only add handoff
-// overhead). The engine is deterministic regardless: load vectors are
-// bit-identical for every worker count.
+// WithWorkers fixes the engine's width: every round runs in w chunks, the
+// stepping goroutine's and those of w-1 helper goroutines the engine owns.
+// Values below 2 leave the width to the engine — serial, or 2 while a lent
+// helper is attached (see Help); values above GOMAXPROCS are clamped to it
+// (extra workers cannot run simultaneously and only add handoff overhead).
+// The engine is deterministic regardless: load vectors are bit-identical for
+// every width.
 func WithWorkers(w int) Option {
 	return func(e *Engine) { e.workers = w }
 }
@@ -147,21 +164,21 @@ func (e *Engine) ensureSends() {
 // NewEngine binds algo to the balancing graph b with initial load vector x1.
 // The initial vector is copied.
 //
-// Engines with workers > 1 own a persistent goroutine pool. Close releases it
+// Engines with workers > 1 own helper goroutines. Close releases them
 // deterministically; an engine that is simply dropped is also safe — a GC
-// cleanup shuts the pool down when the engine becomes unreachable.
+// cleanup shuts them down, and sends a lent helper home, when the engine
+// becomes unreachable.
 func NewEngine(b *graph.Balancing, algo Balancer, x1 []int64, opts ...Option) (*Engine, error) {
 	if len(x1) != b.N() {
 		return nil, fmt.Errorf("core: load vector has %d entries for %d nodes", len(x1), b.N())
 	}
 	e := &Engine{
-		bal:    b,
-		algo:   algo,
-		x:      append([]int64(nil), x1...),
-		next:   make([]int64, b.N()),
-		heads:  b.Graph().Heads(),
-		revPos: b.Graph().RevArcPos(),
-		d:      b.Degree(),
+		bal:   b,
+		algo:  algo,
+		x:     append([]int64(nil), x1...),
+		next:  make([]int64, b.N()),
+		heads: b.Graph().Heads(),
+		d:     b.Degree(),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -181,17 +198,19 @@ func NewEngine(b *graph.Balancing, algo Balancer, x1 []int64, opts ...Option) (*
 			return nil, fmt.Errorf("core: balancer %q bound %d nodes for %d-node graph", algo.Name(), len(e.nodes), b.N())
 		}
 	}
-	// The kernel clamps pool workers to schedulable CPUs; extra workers
-	// cannot run simultaneously and only add handoff overhead.
-	e.kern = NewKernel(e.workers)
-	if e.kern.Width() > 1 {
-		runtime.AddCleanup(e, func(k *Kernel) { k.Close() }, e.kern)
+	// Fixed widths clamp to schedulable CPUs; extra workers cannot run
+	// simultaneously and only add handoff overhead.
+	if w := min(e.workers, runtime.GOMAXPROCS(0)); w > 1 {
+		e.crew = newCrew(w, true, b.N())
+	} else if Lends(b, e.workers) {
+		e.crew = newCrew(2, false, b.N())
 	}
-	if e.bulk == nil || e.expandSends || e.kern.Width() > 1 {
+	if e.crew != nil {
+		runtime.AddCleanup(e, func(c *crew) { c.close() }, e.crew)
+	}
+	if e.bulk == nil || e.expandSends {
 		e.ensureSends()
 	}
-	e.distribute = e.distributePhase
-	e.apply = e.applyPhase
 	return e, nil
 }
 
@@ -204,10 +223,42 @@ func MustEngine(b *graph.Balancing, algo Balancer, x1 []int64, opts ...Option) *
 	return e
 }
 
-// Close releases the engine's worker pool. It is optional — the pool is also
-// reclaimed when the engine is garbage collected — and idempotent; the engine
-// must not Step after Close.
-func (e *Engine) Close() { e.kern.Close() }
+// Close releases the engine's helpers: its own goroutines exit before Close
+// returns, and a lent helper's Help returns. It is optional — the helpers
+// are also released when the engine is garbage collected — and idempotent;
+// the engine must not Step after Close.
+func (e *Engine) Close() {
+	if e.crew != nil {
+		e.crew.close()
+	}
+}
+
+// Lends reports whether an engine on b built WithWorkers(workers) has a
+// seat for Help: its width is not fixed (workers, clamped to GOMAXPROCS, is
+// at most 1) and its n·d⁺ reaches lendCost.
+func Lends(b *graph.Balancing, workers int) bool {
+	return min(workers, runtime.GOMAXPROCS(0)) <= 1 && b.N()*b.DegreePlus() >= lendCost
+}
+
+// TakesHelper reports whether the engine has a seat for Help (see Lends).
+func (e *Engine) TakesHelper() bool { return e.crew != nil && !e.crew.fixed }
+
+// Help lends the calling goroutine to the engine's rounds: it takes the
+// engine's helper seat and runs the second chunk of every round the engine
+// steps, at width 2, until the engine is closed; then it returns true. It
+// returns false at once when the engine takes no lent helper (a fixed
+// width, or n·d⁺ below lendCost), is closed, already has one, or when the
+// process's helper budget (GOMAXPROCS simulation goroutines, see Occupy)
+// is used up. The goroutine holds a budget slot while seated, and rounds
+// fall back to width 1 while more goroutines are counted than the budget
+// allows. A round's width never changes its result.
+func (e *Engine) Help() bool {
+	if !e.TakesHelper() || !tryOccupy() {
+		return false
+	}
+	defer Release()
+	return e.crew.help()
+}
 
 // ApplyDelta adds delta (one entry per node) to the current load vector — the
 // dynamic-workload injection hook. It must be called between rounds, never
@@ -320,24 +371,24 @@ func (e *Engine) TotalLoad() int64 {
 // Discrepancy returns max load − min load of the current vector.
 func (e *Engine) Discrepancy() int64 { return Discrepancy(e.x) }
 
-// distributePhase runs phase 1 on the node range [lo, hi): every node
+// faulted reports whether the fault overlay has dead arcs this round.
+func (e *Engine) faulted() bool { return e.topo != nil && e.topo.faulted }
+
+// distributePhase distributes the node range [lo, hi): every node
 // distributes its load — a pure function of (node state, x_t) — and the
-// tokens it keeps are written to next[u] while the node's sends are still
-// cache-hot (the apply phase then only adds the inflows). When flow tracking
-// is on, this round's sends are folded into the cumulative F_t(e) counters
-// here too. Both fusions are safe because next[u], flows[u] and sends[u] are
-// written only by the worker that owns u.
-func (e *Engine) distributePhase(lo, hi int) {
-	faulted := e.topo != nil && e.topo.faulted
+// tokens it keeps are written to kept[u]. When flow tracking is on, this
+// round's sends are folded into the cumulative F_t(e) counters here too.
+// Both are safe on any split because kept[u], flows[u] and sends[u] are
+// written only by the chunk that owns u.
+func (e *Engine) distributePhase(kept []int64, lo, hi int) {
+	faulted := e.faulted()
 	if e.bulk != nil {
-		e.bulk.DistributeRange(e.x, e.bp, e.next, lo, hi)
+		e.bulk.DistributeRange(e.x, e.bp, kept, lo, hi)
 		// Expand (base, mask) into the per-arc sends: a uniform fill plus
-		// one increment per set mask bit. The parallel apply gather always
-		// reads the per-arc array; the serial step only needs it for flow
-		// tracking and auditors — or to give the fault overlay's bounce pass
-		// per-arc sends to mask — and otherwise pushes straight from the
-		// (base, mask) pairs.
-		if e.kern.Width() > 1 || e.expandSends || faulted {
+		// one increment per set mask bit. Only flow tracking and auditors
+		// read them — or the fault overlay's bounce pass, which masks them;
+		// otherwise the push reads the (base, mask) pairs directly.
+		if e.expandSends || faulted {
 			d, bp, sends := e.d, e.bp, e.sendsFlat
 			for u := lo; u < hi; u++ {
 				base := bp[2*u]
@@ -351,7 +402,7 @@ func (e *Engine) distributePhase(lo, hi int) {
 			}
 		}
 	} else {
-		x, next := e.x, e.next
+		x := e.x
 		for u := lo; u < hi; u++ {
 			var loops []int64
 			if e.loopsFlat != nil {
@@ -362,17 +413,17 @@ func (e *Engine) distributePhase(lo, hi int) {
 			}
 			su := e.sends[u]
 			e.nodes[u].Distribute(x[u], su, loops)
-			kept := x[u]
+			left := x[u]
 			for _, s := range su {
-				kept -= s
+				left -= s
 			}
-			next[u] = kept
+			kept[u] = left
 		}
 	}
 	// Bounce tokens assigned to dead arcs back to their senders before the
 	// flow fold, so cumulative flows only ever count tokens that moved.
 	if faulted {
-		e.maskDeadSends(lo, hi)
+		e.maskDeadSends(kept, lo, hi)
 	}
 	if e.flowsFlat != nil {
 		flows, sends := e.flowsFlat, e.sendsFlat
@@ -382,41 +433,51 @@ func (e *Engine) distributePhase(lo, hi int) {
 	}
 }
 
-// applyPhase runs phase 2 on the node range [lo, hi): add to the kept tokens
-// (written by phase 1) the inflow over each in-arc, read through the flat
-// reverse index. next[v] depends only on phase-1 results, whose completeness
-// the round barrier guarantees.
-func (e *Engine) applyPhase(lo, hi int) {
+// push adds the tokens of the arcs of nodes [lo, hi) onto their heads in
+// dst, in one linear sweep of the adjacency: the random accesses hit the
+// n-word dst rather than the n·d-word sends array. It pushes straight from
+// the compressed (base, mask) pairs when per-arc sends were never
+// materialized; with auditors, flow tracking or faults the distribute phase
+// has materialized (and masked) them, and the per-arc push runs instead.
+func (e *Engine) push(dst []int64, lo, hi int) {
 	d := e.d
-	next := e.next
-	sends := e.sendsFlat
-	rev := e.revPos
-	for v := lo; v < hi; v++ {
-		in := next[v]
-		for _, p := range rev[v*d : (v+1)*d] {
-			in += sends[p]
-		}
-		next[v] = in
+	heads := e.heads[lo*d : hi*d]
+	if e.bulk != nil && !e.expandSends && !e.faulted() {
+		pushExtra(dst, heads, e.bp[2*lo:2*hi], d)
+		return
+	}
+	sends := e.sendsFlat[lo*d : hi*d]
+	for p, h := range heads {
+		dst[h] += sends[p]
 	}
 }
 
-// applySerial is the apply phase of the single-worker engine: instead of
-// gathering each node's inflows through the reverse index (one random read
-// per arc), it pushes every arc's tokens onto its head in one linear sweep
-// of the adjacency — the random accesses then hit the n-word next array
-// rather than the n·d-word sends array. int64 addition is commutative and
-// associative, so the resulting vector is bit-identical to the gather's.
-// When per-arc sends were never materialized it pushes straight from the
-// compressed (base, mask) pairs; under faults the distribute phase has
-// materialized (and masked) them, so the per-arc push runs instead.
-func (e *Engine) applySerial() {
-	if e.bulk != nil && !e.expandSends && !(e.topo != nil && e.topo.faulted) {
-		pushExtra(e.next, e.heads, e.bp, e.d)
-		return
+// phase1 is chunk c's share of a wide round: distribute its nodes and push
+// its arcs. Chunk 0 runs on the stepping goroutine and writes next itself,
+// clearing the other chunks' part first; chunk c > 0 writes its helper's
+// accumulator, which is all zeros between rounds, so the kept tokens land
+// on zeros too.
+func (e *Engine) phase1(c, lo, hi int) {
+	dst := e.next
+	if c > 0 {
+		dst = e.crew.seats[c].acc
+	} else {
+		clear(dst[hi:])
 	}
-	next, sends := e.next, e.sendsFlat
-	for p, h := range e.heads {
-		next[h] += sends[p]
+	e.distributePhase(dst, lo, hi)
+	e.push(dst, lo, hi)
+}
+
+// phase2 folds every helper accumulator's entries for chunk c's nodes into
+// next and clears them, once the barrier has seen every push land.
+func (e *Engine) phase2(c, lo, hi int) {
+	next := e.next[lo:hi]
+	for s := 1; s < e.crew.width; s++ {
+		acc := e.crew.seats[s].acc[lo:hi]
+		for i, v := range acc {
+			next[i] += v
+		}
+		clear(acc)
 	}
 }
 
@@ -478,14 +539,14 @@ func (e *Engine) Step() error {
 		obs.BeginRound(e.round, e.x)
 	}
 
-	// One fused dispatch: distribute (+ flow accounting) on every node range,
-	// round barrier, then apply on the same ranges. The single-worker engine
-	// runs the same distribute followed by the linear push variant of apply.
-	if e.kern.Width() > 1 {
-		e.kern.RunRound(e.bal.N(), e.distribute, e.apply)
+	// The round's width: the engine's own helpers, or a lent one while the
+	// helper budget is not overbooked; a serial round otherwise.
+	n := e.bal.N()
+	if w := e.width(); w > 1 {
+		e.crew.run(n, w, e)
 	} else {
-		e.distributePhase(0, e.bal.N())
-		e.applySerial()
+		e.distributePhase(e.next, 0, n)
+		e.push(e.next, 0, n)
 	}
 
 	prev := e.x
@@ -498,6 +559,15 @@ func (e *Engine) Step() error {
 		}
 	}
 	return nil
+}
+
+// width returns the number of chunks the next round runs in.
+func (e *Engine) width() int {
+	c := e.crew
+	if c == nil || c.seated.Load() == 0 || (!c.fixed && overbooked()) {
+		return 1
+	}
+	return c.chunks(e.bal.N())
 }
 
 // Run executes rounds until the predicate stop(engine) returns true or

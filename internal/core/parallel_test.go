@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestChunkBounds pins the determinism contract documented on chunkBounds:
@@ -54,15 +55,14 @@ func TestChunkBounds(t *testing.T) {
 	}
 }
 
-// TestRunRoundCoverageAndBarrier drives a persistent pool directly (bypassing
-// the engine's GOMAXPROCS clamp) and asserts that (a) each phase visits every
-// index exactly once per round, and (b) no worker enters the second phase
-// before every worker finished the first — the property that makes the
-// parallel apply phase safe.
+// TestRunRoundCoverageAndBarrier drives a kernel's crew directly and
+// asserts that (a) each phase visits every index exactly once per round,
+// and (b) no worker enters the second phase before every worker finished
+// the first — the property that makes the fold of a wide engine round safe.
 func TestRunRoundCoverageAndBarrier(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	p := newParallelizer(4)
-	defer p.close()
+	k := NewKernel(4)
+	defer k.Close()
 
 	const n = 1037
 	var phase1Done atomic.Int64
@@ -84,7 +84,7 @@ func TestRunRoundCoverageAndBarrier(t *testing.T) {
 				visited2[i]++
 			}
 		}
-		p.runRound(n, first, second)
+		k.RunRound(n, first, second)
 		for i := 0; i < n; i++ {
 			if visited1[i] != int32(round+1) || visited2[i] != int32(round+1) {
 				t.Fatalf("round %d: index %d visited %d/%d times, want %d", round, i, visited1[i], visited2[i], round+1)
@@ -96,13 +96,13 @@ func TestRunRoundCoverageAndBarrier(t *testing.T) {
 // TestRunRoundSinglePhase checks the nil-second-phase dispatch.
 func TestRunRoundSinglePhase(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	p := newParallelizer(3)
-	defer p.close()
+	k := NewKernel(3)
+	defer k.Close()
 
 	const n = 100
 	var sum atomic.Int64
 	var calls atomic.Int32
-	p.runRound(n, func(lo, hi int) {
+	k.RunRound(n, func(lo, hi int) {
 		calls.Add(1)
 		for i := lo; i < hi; i++ {
 			sum.Add(int64(i))
@@ -116,35 +116,45 @@ func TestRunRoundSinglePhase(t *testing.T) {
 	}
 }
 
-// TestPoolCloseIdempotent verifies close can be called repeatedly and that a
-// serial parallelizer (width ≤ 1) needs no pool at all.
+// TestPoolCloseIdempotent verifies Close can be called repeatedly, that the
+// kernel's goroutines are gone after it, and that a serial kernel
+// (width ≤ 1) needs no pool at all.
 func TestPoolCloseIdempotent(t *testing.T) {
-	p := newParallelizer(4)
-	p.close()
-	p.close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	before := runtime.NumGoroutine()
+	k := NewKernel(4)
+	k.Close()
+	k.Close()
+	// Close waits for every helper's Done; the goroutine itself ends a few
+	// instructions later.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the kernel", runtime.NumGoroutine(), before)
+		}
+	}
 
-	s := newParallelizer(0)
+	s := NewKernel(0)
 	ran := false
-	s.runRound(5, func(lo, hi int) { ran = ran || (lo == 0 && hi == 5) }, nil)
+	s.RunRound(5, func(lo, hi int) { ran = ran || (lo == 0 && hi == 5) }, nil)
 	if !ran {
 		t.Fatal("serial path did not run [0,5) in one call")
 	}
-	s.close()
+	s.Close()
 }
 
 // TestPoolConcurrentRounds hammers the pool from sequential rounds with
 // varying n to shake out barrier-generation bugs under the race detector.
 func TestPoolConcurrentRounds(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	p := newParallelizer(4)
-	defer p.close()
+	k := NewKernel(4)
+	defer k.Close()
 
 	var mu sync.Mutex
 	total := 0
 	for round := 1; round <= 200; round++ {
 		n := 1 + (round*37)%977
 		count := 0
-		p.runRound(n,
+		k.RunRound(n,
 			func(lo, hi int) {
 				mu.Lock()
 				count += hi - lo

@@ -468,14 +468,13 @@ func (t *topoState) rebuild(heads []int32, d int) {
 
 // maskDeadSends is the distribute phase's bounce pass on [lo, hi): tokens the
 // balancer assigned to dead out-arcs return to their sender's kept pile and
-// the per-arc sends are zeroed, so the apply phase (gather or push) and the
-// flow counters only see tokens that actually moved. Per-node state is owned
-// by the range's worker, so the pass is parallel-safe and bit-identical to
-// the serial order.
-func (e *Engine) maskDeadSends(lo, hi int) {
+// the per-arc sends are zeroed, so the push and the flow counters only see
+// tokens that actually moved. Per-node state is owned by the range's chunk,
+// so the pass is parallel-safe and bit-identical to the serial order.
+func (e *Engine) maskDeadSends(kept []int64, lo, hi int) {
 	t := e.topo
 	d := e.d
-	sends, next := e.sendsFlat, e.next
+	sends := e.sendsFlat
 	if t.deadMask != nil {
 		for u := lo; u < hi; u++ {
 			m := t.deadMask[u]
@@ -489,7 +488,7 @@ func (e *Engine) maskDeadSends(lo, hi int) {
 				bounced += sends[p]
 				sends[p] = 0
 			}
-			next[u] += bounced
+			kept[u] += bounced
 		}
 		return
 	}
@@ -505,7 +504,7 @@ func (e *Engine) maskDeadSends(lo, hi int) {
 				sends[p] = 0
 			}
 		}
-		next[u] += bounced
+		kept[u] += bounced
 	}
 }
 

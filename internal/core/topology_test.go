@@ -400,15 +400,13 @@ func TestFaultedStepAllocates(t *testing.T) {
 }
 
 // TestSendsAllocatedWhereRead pins where the engine keeps the n·d per-arc
-// sends array: not on the serial bulk path without auditors or flow
-// tracking, which pushes from the (base, mask) pairs, but at construction
-// for the per-node path, width 2, auditors and flow tracking, and on the
-// first topology delta that can fault it.
+// sends array: not on the bulk path without auditors or flow tracking, at
+// any width, which pushes from the (base, mask) pairs, but at construction
+// for the per-node path, auditors and flow tracking, and on the first
+// topology delta that can fault it.
 func TestSendsAllocatedWhereRead(t *testing.T) {
 	b := graph.Lazy(graph.CliqueCirculant(64, 6))
 	x := pointMass(64, 10000)
-	// The kernel clamps its width to GOMAXPROCS.
-	wide := MustEngine(b, flatEvenSplit{}, x, WithWorkers(2))
 	for _, c := range []struct {
 		name string
 		eng  *Engine
@@ -416,7 +414,7 @@ func TestSendsAllocatedWhereRead(t *testing.T) {
 	}{
 		{"serial bulk", MustEngine(b, flatEvenSplit{}, x), false},
 		{"per-node", MustEngine(b, evenSplit{}, x), true},
-		{"width 2", wide, wide.kern.Width() > 1},
+		{"width 2", MustEngine(b, flatEvenSplit{}, x, WithWorkers(2)), false},
 		{"auditor", MustEngine(b, flatEvenSplit{}, x, WithAuditor(NewMinShareAuditor())), true},
 		{"flows", MustEngine(b, flatEvenSplit{}, x, WithFlowTracking()), true},
 	} {

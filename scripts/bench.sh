@@ -13,8 +13,9 @@
 #                        (StepHypercube12RotorRouterW1/W2, StepRotorRouterW2);
 #   BENCH_sweep.json   — the BenchmarkSweep* harness benchmarks (concurrent
 #                        sweep vs the serial analysis.Run loop, warm and cold
-#                        gap cache, and the cold expander-headline family at
-#                        sweep widths 1 and 2), whose runs/sec and allocs/op
+#                        gap cache, the cold expander-headline family at
+#                        sweep widths 1 and 2, and the kernel-hypercube POST
+#                        with a lent runner), whose runs/sec and allocs/op
 #                        columns are the sweep subsystem's acceptance numbers;
 #   BENCH_dynamic.json — the BenchmarkDynamic* shocked-run benchmarks (dynamic
 #                        harness vs its static baseline, plus a shocked sweep);
@@ -158,7 +159,7 @@ record 'BenchmarkStep|BenchmarkSpectralGap|BenchmarkRandomRegularSampling|Benchm
   "ns_op_min is the noise-robust statistic on shared machines; baseline is the pre-refactor engine (see CHANGES.md). RandomRegularSampling, GraphHypercube12 and BindColdExpander time graph construction: one random 8-regular graph on 512 nodes, one hypercube:12, and the Family.Bind of a cold expander-headline-shaped family (three fresh random graphs, 9 cells)."
 
 record 'BenchmarkSweep' BENCH_sweep.json \
-  "100-spec sweep acceptance numbers: Sweep100 is the concurrent harness (a fresh engine per spec, gap memoized); SerialColdGap is the pre-sweep equivalent loop (gap recomputed per run, fresh engine per run); SerialWarmGap is that loop with the gap memo warm, so its difference to Sweep100 is the sweep's scheduling. allocs_op is per 100 runs. SweepColdExpander/workers=1|2 is one cold expander-headline family (9 cells, freshly bound graphs, every gap solved cold) at sweep widths 1 and 2; allocs_op is per family."
+  "100-spec sweep acceptance numbers: Sweep100 is the concurrent harness (a fresh engine per spec, gap memoized); SerialColdGap is the pre-sweep equivalent loop (gap recomputed per run, fresh engine per run); SerialWarmGap is that loop with the gap memo warm, so its difference to Sweep100 is the sweep's scheduling. allocs_op is per 100 runs. SweepColdExpander/workers=1|2 is one cold expander-headline family (9 cells, freshly bound graphs, every gap solved cold) at sweep widths 1 and 2; allocs_op is per family. SweepKernelHypercube is one kernel-hypercube POST (rotor-router and send-floor, 400 rounds on hypercube:12) at sweep width 2, where the send-floor cell's runner helps the rotor-router cell once it is free; allocs_op is per POST."
 
 record 'BenchmarkDynamic' BENCH_dynamic.json \
   "shocked-run numbers: ShockedRun is one 128-round dynamic run (burst + periodic refill + churn, recovery-tracked); StaticBaseline is the same instance without a schedule — the dynamic-harness overhead denominator; DynamicSweep25 pushes 25 shocked specs through the concurrent sweep, a fresh engine per spec."

@@ -2,12 +2,23 @@
 # bench_pairs.sh — paired parent/change micro-benchmark driver.
 #
 # Builds the root package's test binary twice, once from the parent commit
-# and once from the working tree, then runs the two binaries alternately,
-# PAIRS times per benchmark regex. The side that runs first alternates from
-# pair to pair, so a slow host spell lands on both sides instead of on one.
-# For every benchmark the regex matches it prints the parent's and the
-# change's median ns/op with their quartiles, how many pairs the change won
-# (lower ns/op) and the change/parent ratio of the medians.
+# and once from the working tree. Each REGEX is matched against the
+# top-level benchmark names (the union of both binaries' -test.list), and
+# every matched benchmark is paired on its own: the two binaries run that
+# one benchmark (-test.bench '^Name$', sub-benchmarks included) back to
+# back, PAIRS times. The side that runs first alternates from pair to pair,
+# so a slow host spell lands on both sides instead of on one.
+#
+# Pairing per benchmark, not per regex, keeps the two runs of a pair
+# seconds apart. With a regex that matched several benchmarks, one side
+# ran all of them before the other started, so the two runs of a pair were
+# a whole regex apart and a host spell that changed in between moved the
+# ratio of an unchanged benchmark (StepHypercube12SendFloor read 1.164, the
+# change losing 0/10 pairs, then 0.999 in a re-run).
+#
+# For every benchmark it prints the parent's and the change's median ns/op
+# with their quartiles, how many pairs the change won (lower ns/op) and the
+# change/parent ratio of the medians.
 #
 # The parent is the merge-base of HEAD and BASE (default HEAD, i.e. the last
 # commit, so uncommitted changes are measured against it; on a branch pass
@@ -17,7 +28,7 @@
 # Usage:
 #   scripts/bench_pairs.sh [-n PAIRS] [-b BASE] REGEX...
 #
-#   -n PAIRS  pairs per regex (default and minimum 10: fewer pairs cannot
+#   -n PAIRS  pairs per benchmark (default and minimum 10: fewer pairs cannot
 #             back a claimed gain)
 #   -b BASE   ref whose merge-base with HEAD is the parent (default HEAD)
 #
@@ -61,22 +72,41 @@ echo "parent $PARENT, change = working tree of $ROOT" >&2
 (cd "$WORK/src" && go test -c -o "$WORK/parent.test" .)
 (cd "$ROOT" && go test -c -o "$WORK/change.test" .)
 
-# run SIDE REGEX — one benchmark run; appends "side name ns/op" lines.
+# side_dir SIDE — the directory a side's binary runs in (testdata paths).
+side_dir() {
+  if [[ "$1" == parent ]]; then echo "$WORK/src"; else echo "$ROOT"; fi
+}
+
+# run SIDE NAME — one run of one benchmark; prints "side name ns/op" lines.
 run() {
-  local side="$1" regex="$2" dir
-  if [[ "$side" == parent ]]; then dir="$WORK/src"; else dir="$ROOT"; fi
-  (cd "$dir" && "$WORK/$side.test" -test.run '^$' -test.bench "$regex" -test.count 1) |
+  local side="$1" name="$2"
+  (cd "$(side_dir "$side")" && "$WORK/$side.test" -test.run '^$' -test.bench "^${name}\$" -test.count 1) |
     awk -v side="$side" '/^Benchmark/ && $4 == "ns/op" {
         name = $1; sub(/-[0-9]+$/, "", name); print side, name, $3 }'
+}
+
+# names REGEX — the top-level benchmarks either binary has that match.
+names() {
+  local side
+  for side in parent change; do
+    (cd "$(side_dir "$side")" && "$WORK/$side.test" -test.list "$1") | grep '^Benchmark' || true
+  done | awk '!seen[$0]++'
 }
 
 for regex in "$@"; do
   results="$WORK/results"
   : > "$results"
-  for ((i = 0; i < PAIRS; i++)); do
-    if (( i % 2 == 0 )); then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-      run "$side" "$regex" | awk -v pair="$i" '{ print pair, $0 }' >> "$results"
+  matched="$(names "$regex")"
+  if [[ -z "$matched" ]]; then
+    echo "bench_pairs.sh: no benchmark matches $regex" >&2
+    continue
+  fi
+  for name in $matched; do
+    for ((i = 0; i < PAIRS; i++)); do
+      if (( i % 2 == 0 )); then order="parent change"; else order="change parent"; fi
+      for side in $order; do
+        run "$side" "$name" | awk -v pair="$i" '{ print pair, $0 }' >> "$results"
+      done
     done
   done
   # Lines: pair side name ns. Per benchmark: sort each side's values, take
