@@ -7,7 +7,7 @@
 //	lbsim -graph cycle:64 -algo rotor-router -workload point:512 \
 //	      -rounds 0 -loops -1 -sample 100 [-audit] [-workers 4] \
 //	      [-events burst:40,0,2048] [-faults partition:30,32,70] [-target -1] \
-//	      [-scenario run.json] [-emit-scenario run.json]
+//	      [-scenario run.json] [-emit-scenario run.json] [-orbit]
 //
 // -scenario loads the run from a scenario JSON file (a single-cell family;
 // see docs/scenarios.md) instead of the spec flags; -emit-scenario snapshots
@@ -28,8 +28,15 @@
 // restorenode:ROUND,NODE | flap:U,V,FROM,PERIOD[,DUTY] |
 // partition:ROUND,BOUNDARY[,HEAL] | periodic-fault:EVERY,DOWN[,SEED],
 // "+"-composable); each fault event is reported with its per-component
-// recovery (see docs/topology.md). Faulted runs are incompatible with -orbit,
-// which replays the pristine static process.
+// recovery (see docs/topology.md).
+//
+// -orbit reruns the static spec without auditors, target, patience or
+// sampling for 4n+64 rounds past the run's stop, and prints the cycle the
+// round loop's detector closes on the engine's full state (loads and
+// balancer words): its period, a round on it, and the discrepancy range
+// over one period. It needs a balancer the engine can compare in full
+// (core.Recurrent: send-floor, send-round, rotor-router, good:S, biased);
+// the others, and -events or -faults runs, exit with status 2.
 //
 // Graphs:    cycle:N | torus:SIDE[,R] | hypercube:R | complete:N |
 //
@@ -56,6 +63,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"detlb/internal/analysis"
@@ -67,26 +75,29 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run() int {
-	graphSpec := flag.String("graph", "cycle:64", "graph family:params")
-	algoSpec := flag.String("algo", "rotor-router", "algorithm")
-	loadSpec := flag.String("workload", "point:512", "initial load vector")
-	rounds := flag.Int("rounds", 0, "round cap (0 = paper horizon T)")
-	loops := flag.Int("loops", -1, "self-loops per node (-1 = d, the lazy default)")
-	sample := flag.Int("sample", 0, "print discrepancy every k rounds (0 = only summary)")
-	audit := flag.Bool("audit", false, "attach conservation, min-share and fairness auditors")
-	workers := flag.Int("workers", 0, "engine worker goroutines")
-	events := flag.String("events", "", "dynamic-workload schedule (empty = static run)")
-	faults := flag.String("faults", "", "fault-injection topology schedule (empty = pristine graph)")
-	target := flag.Int64("target", -1, "discrepancy target (-1 = none; ≥ 0 stops static runs, defines dynamic recovery)")
-	scenarioPath := flag.String("scenario", "", "load the run from this scenario JSON file (spec flags are ignored)")
-	emitPath := flag.String("emit-scenario", "", "write the resolved run as a scenario JSON file (re-runnable via -scenario)")
-	csvPath := flag.String("csv", "", "write the sampled discrepancy series to this CSV file")
-	orbit := flag.Bool("orbit", false, "after the run, detect the process's eventual load cycle")
-	flag.Parse()
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("lbsim", flag.ContinueOnError)
+	graphSpec := fs.String("graph", "cycle:64", "graph family:params")
+	algoSpec := fs.String("algo", "rotor-router", "algorithm")
+	loadSpec := fs.String("workload", "point:512", "initial load vector")
+	rounds := fs.Int("rounds", 0, "round cap (0 = paper horizon T)")
+	loops := fs.Int("loops", -1, "self-loops per node (-1 = d, the lazy default)")
+	sample := fs.Int("sample", 0, "print discrepancy every k rounds (0 = only summary)")
+	audit := fs.Bool("audit", false, "attach conservation, min-share and fairness auditors")
+	workers := fs.Int("workers", 0, "engine worker goroutines")
+	events := fs.String("events", "", "dynamic-workload schedule (empty = static run)")
+	faults := fs.String("faults", "", "fault-injection topology schedule (empty = pristine graph)")
+	target := fs.Int64("target", -1, "discrepancy target (-1 = none; ≥ 0 stops static runs, defines dynamic recovery)")
+	scenarioPath := fs.String("scenario", "", "load the run from this scenario JSON file (spec flags are ignored)")
+	emitPath := fs.String("emit-scenario", "", "write the resolved run as a scenario JSON file (re-runnable via -scenario)")
+	csvPath := fs.String("csv", "", "write the sampled discrepancy series to this CSV file")
+	orbit := fs.Bool("orbit", false, "after the run, report the full-state cycle the process enters (Recurrent balancers only)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	cell, fam, err := buildScenario(*scenarioPath, *graphSpec, *algoSpec, *loadSpec, *events, *faults,
 		*loops, *rounds, *workers, *sample, *target)
@@ -95,7 +106,7 @@ func run() int {
 		return 2
 	}
 	if *scenarioPath != "" {
-		scenario.WarnOverriddenFlags("lbsim", flag.CommandLine,
+		scenario.WarnOverriddenFlags("lbsim", fs,
 			"graph", "algo", "workload", "events", "faults", "loops", "rounds", "workers", "sample", "target")
 	}
 	spec, err := cell.Bind()
@@ -111,13 +122,12 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "lbsim:", err)
 			return 1
 		}
-		fmt.Printf("wrote scenario to %s\n", *emitPath)
+		fmt.Fprintf(stdout, "wrote scenario to %s\n", *emitPath)
 	}
 	b := spec.Balancing
 	g := b.Graph()
 	algo := spec.Algorithm
 	x1 := spec.Initial
-	schedule := spec.Events
 
 	if spec.Model != nil {
 		// Population-protocol run: the graph contributes sizing and labels,
@@ -126,16 +136,16 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "lbsim: -audit, -csv and -orbit apply to diffusion runs (protocol models audit their invariants internally)")
 			return 2
 		}
-		fmt.Printf("graph=%s n=%d (sizing and labels only for protocol models)\n", g.Name(), g.N())
-		fmt.Printf("model=%s metric=%s initial=%d\n",
+		fmt.Fprintf(stdout, "graph=%s n=%d (sizing and labels only for protocol models)\n", g.Name(), g.N())
+		fmt.Fprintf(stdout, "model=%s metric=%s initial=%d\n",
 			spec.Model.Name(), spec.Metric.Name(), spec.Metric.Measure(x1))
 		res := analysis.Run(spec)
 		for _, p := range res.Series {
-			fmt.Printf("round %8d  %s %6d\n", p.Round, spec.Metric.Name(), p.Discrepancy)
+			fmt.Fprintf(stdout, "round %8d  %s %6d\n", p.Round, spec.Metric.Name(), p.Discrepancy)
 		}
-		fmt.Println(res.String())
+		fmt.Fprintln(stdout, res.String())
 		if res.ReachedTarget {
-			fmt.Printf("target %d reached at round %d\n", *spec.TargetDiscrepancy, res.TargetRound)
+			fmt.Fprintf(stdout, "target %d reached at round %d\n", *spec.TargetDiscrepancy, res.TargetRound)
 		}
 		if res.Err != nil {
 			fmt.Fprintln(os.Stderr, "lbsim:", res.Err)
@@ -144,11 +154,22 @@ func run() int {
 		return 0
 	}
 
+	if *orbit {
+		if spec.Events != nil || spec.Topology != nil {
+			fmt.Fprintln(os.Stderr, "lbsim: -orbit cannot be combined with -events or -faults (the cycle is the static process's)")
+			return 2
+		}
+		if !recurrent(spec) {
+			fmt.Fprintf(os.Stderr, "lbsim: -orbit needs a balancer whose full state the engine compares; %s is not core.Recurrent\n", algo.Name())
+			return 2
+		}
+	}
+
 	mu := spectral.Gap(b)
 	k := core.Discrepancy(x1)
-	fmt.Printf("graph=%s d=%d d°=%d d⁺=%d µ=%.4g diam=%d\n",
+	fmt.Fprintf(stdout, "graph=%s d=%d d°=%d d⁺=%d µ=%.4g diam=%d\n",
 		g.Name(), g.Degree(), b.SelfLoops(), b.DegreePlus(), mu, g.Diameter())
-	fmt.Printf("algo=%s workload K=%d total=%d\n", algo.Name(), k, workload.Total(x1))
+	fmt.Fprintf(stdout, "algo=%s workload K=%d total=%d\n", algo.Name(), k, workload.Total(x1))
 
 	var fair *core.CumulativeFairnessAuditor
 	var rec *trace.Recorder
@@ -171,18 +192,18 @@ func run() int {
 	res := analysis.Run(spec)
 	for _, p := range res.Series {
 		if p.Shock {
-			fmt.Printf("round %8d  discrepancy %6d  <- shock (net %+d tokens)\n", p.Round, p.Discrepancy, p.Injected)
+			fmt.Fprintf(stdout, "round %8d  discrepancy %6d  <- shock (net %+d tokens)\n", p.Round, p.Discrepancy, p.Injected)
 			continue
 		}
 		if p.Fault {
-			fmt.Printf("round %8d  discrepancy %6d  <- fault (-%d/+%d links, -%d/+%d nodes, %d components)\n",
+			fmt.Fprintf(stdout, "round %8d  discrepancy %6d  <- fault (-%d/+%d links, -%d/+%d nodes, %d components)\n",
 				p.Round, p.Discrepancy, p.FaultChange.FailedLinks, p.FaultChange.RestoredLinks,
 				p.FaultChange.FailedNodes, p.FaultChange.RestoredNodes, p.Components)
 			continue
 		}
-		fmt.Printf("round %8d  discrepancy %6d\n", p.Round, p.Discrepancy)
+		fmt.Fprintf(stdout, "round %8d  discrepancy %6d\n", p.Round, p.Discrepancy)
 	}
-	fmt.Println(res.String())
+	fmt.Fprintln(stdout, res.String())
 	for i, s := range res.Shocks {
 		recov := "not recovered within the run"
 		if s.RecoveryRounds >= 0 {
@@ -190,7 +211,7 @@ func run() int {
 		} else if spec.TargetDiscrepancy == nil {
 			recov = "no target set"
 		}
-		fmt.Printf("shock %d after round %d: +%d/-%d tokens, disc %d (peak %d), %s\n",
+		fmt.Fprintf(stdout, "shock %d after round %d: +%d/-%d tokens, disc %d (peak %d), %s\n",
 			i+1, s.Round, s.Added, s.Removed, s.Discrepancy, s.PeakDiscrepancy, recov)
 	}
 	for i, f := range res.Faults {
@@ -209,15 +230,15 @@ func run() int {
 		if f.UnreachableLoad != 0 {
 			detail += fmt.Sprintf(", unreachable %d", f.UnreachableLoad)
 		}
-		fmt.Printf("fault %d after round %d: -%d/+%d links, -%d/+%d nodes, %d components (µ=%.4g), eff disc %d (peak %d)%s, %s\n",
+		fmt.Fprintf(stdout, "fault %d after round %d: -%d/+%d links, -%d/+%d nodes, %d components (µ=%.4g), eff disc %d (peak %d)%s, %s\n",
 			i+1, f.Round, f.FailedLinks, f.RestoredLinks, f.FailedNodes, f.RestoredNodes,
 			f.Components, f.Gap, f.Discrepancy, f.PeakDiscrepancy, detail, recov)
 	}
 	if res.ReachedTarget {
-		fmt.Printf("target %d reached at round %d\n", *spec.TargetDiscrepancy, res.TargetRound)
+		fmt.Fprintf(stdout, "target %d reached at round %d\n", *spec.TargetDiscrepancy, res.TargetRound)
 	}
 	if fair != nil {
-		fmt.Printf("measured cumulative fairness δ = %d\n", fair.MaxDelta)
+		fmt.Fprintf(stdout, "measured cumulative fairness δ = %d\n", fair.MaxDelta)
 	}
 	if rec != nil {
 		f, err := os.Create(*csvPath)
@@ -230,39 +251,49 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "lbsim:", err)
 			return 1
 		}
-		fmt.Printf("wrote %d samples to %s\n", len(rec.Samples()), *csvPath)
+		fmt.Fprintf(stdout, "wrote %d samples to %s\n", len(rec.Samples()), *csvPath)
 	}
 	if res.Err != nil {
 		// Audit failures and spec-level errors (e.g. a balancer that rejects
 		// the graph configuration, a disconnected graph with the default
 		// horizon) surface here — before orbit detection, which would bind
-		// the same broken spec again outside the harness's panic containment.
+		// the same broken spec again.
 		fmt.Fprintln(os.Stderr, "lbsim:", res.Err)
 		return 1
 	}
 	if *orbit {
-		if schedule != nil || spec.Topology != nil {
-			// DetectOrbit replays the process from x1 without the schedule or
-			// the fault overlay, so it would report the orbit of a process the
-			// dynamic run never executed.
-			fmt.Fprintln(os.Stderr, "lbsim: -orbit cannot be combined with -events or -faults (orbit detection replays the pristine static process)")
-			return 2
-		}
-		// Re-run from scratch warmed past the observed stopping round: the
-		// orbit detector needs its own engine (fresh balancer state).
-		o, err := analysis.DetectOrbit(b, algo, x1, res.Rounds, 4*g.N()+64)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lbsim:", err)
+		// The round loop's detector closes the cycle on the full state. It
+		// needs a Recurrent engine, so the rerun drops the auditors, and it
+		// runs 4n+64 rounds past the observed stop with no target, patience
+		// or sampling to end it sooner.
+		cspec := spec
+		cspec.Auditors, cspec.TargetDiscrepancy, cspec.Patience, cspec.SampleEvery = nil, nil, 0, 0
+		cspec.MaxRounds = res.Rounds + 4*g.N() + 64
+		cres := analysis.Run(cspec)
+		if cres.Err != nil {
+			fmt.Fprintln(os.Stderr, "lbsim:", cres.Err)
 			return 1
 		}
-		if o == nil {
-			fmt.Println("no verified load cycle within the search bound (stateful rotors can cycle very slowly)")
+		if c := cres.Cycle; c != nil {
+			fmt.Fprintf(stdout, "state cycle: period %d entered by round %d, discrepancy %d..%d\n",
+				c.Period, c.Start, c.Min, c.Max)
 		} else {
-			fmt.Printf("verified load cycle: period %d entered by round %d, discrepancy %d..%d\n",
-				o.Period, o.Preperiod, o.MinDiscrepancy, o.MaxDiscrepancy)
+			fmt.Fprintf(stdout, "no state cycle within %d rounds\n", cspec.MaxRounds)
 		}
 	}
 	return 0
+}
+
+// recurrent reports whether the spec's engine exposes its full state to the
+// round loop's cycle detector. A spec whose engine does not build counts as
+// recurrent, so that the run itself reports the error.
+func recurrent(spec analysis.RunSpec) bool {
+	eng, err := core.NewEngine(spec.Balancing, spec.Algorithm, spec.Initial)
+	if err != nil {
+		return true
+	}
+	defer eng.Close()
+	return eng.Recurrent()
 }
 
 // buildScenario resolves the run description: from a scenario file when path

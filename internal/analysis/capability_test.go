@@ -251,8 +251,9 @@ func (value) Name() string                { return "value" }
 func (value) Measure(state []int64) int64 { return state[0] }
 
 // TestRecurrenceWindowCap: a period as long as the detection window is
-// found; one round longer is not, and the run simply steps to its horizon.
-// Both give the result of stepping every round.
+// found, from the first snapshot a full window long; one round longer is
+// not, and the run simply steps to its horizon. Both give the result of
+// stepping every round.
 func TestRecurrenceWindowCap(t *testing.T) {
 	for _, tc := range []struct {
 		period int64
@@ -272,6 +273,14 @@ func TestRecurrenceWindowCap(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, stepped := runStepped(spec, m)
+		var cycle *Cycle
+		if tc.found {
+			cycle = &Cycle{Start: recurrenceWindowCap, Period: recurrenceWindowCap, Min: 0, Max: recurrenceWindowCap - 1}
+		}
+		if !reflect.DeepEqual(got.Cycle, cycle) {
+			t.Fatalf("period %d: cycle %+v, want %+v", tc.period, got.Cycle, cycle)
+		}
+		want.Cycle = cycle
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("period %d: result differs from stepping every round:\n got %+v\nwant %+v", tc.period, got, want)
 		}

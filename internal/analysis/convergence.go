@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -27,33 +28,34 @@ type ConvergenceProfile struct {
 }
 
 // Converge runs algo on b from x1 for at most maxRounds, recording halving
-// times down to the given absolute target.
+// times down to the given absolute target. It reads the discrepancy the
+// round loop streams, so a run that enters a cycle replays it.
 func Converge(b *graph.Balancing, algo core.Balancer, x1 []int64, target int64, maxRounds int) (*ConvergenceProfile, error) {
-	eng, err := core.NewEngine(b, algo, x1)
-	if err != nil {
-		return nil, err
+	if maxRounds <= 0 {
+		return nil, fmt.Errorf("analysis: maxRounds must be positive, got %d", maxRounds)
 	}
 	k := core.Discrepancy(x1)
 	p := &ConvergenceProfile{K: k, Target: target, TargetRound: -1}
 	next := k / 2
-	for round := 1; round <= maxRounds; round++ {
-		if err := eng.Step(); err != nil {
-			return nil, fmt.Errorf("analysis: converge: %w", err)
+	var res RunResult
+	spec := RunSpec{Balancing: b, Algorithm: algo, Initial: x1, MaxRounds: maxRounds}
+	for round, s := range StreamInto(context.Background(), spec, &res) {
+		if round == 0 {
+			continue
 		}
-		disc := eng.Discrepancy()
-		for next > 0 && disc <= next && next >= target {
+		for next > 0 && s.Discrepancy <= next && next >= target {
 			p.HalvingRounds = append(p.HalvingRounds, round)
 			next /= 2
 		}
-		if p.TargetRound < 0 && disc <= target {
+		p.Final, p.Rounds = s.Discrepancy, round
+		if s.Discrepancy <= target {
 			p.TargetRound = round
-			p.Final = disc
-			p.Rounds = round
-			return p, nil
+			break
 		}
 	}
-	p.Final = eng.Discrepancy()
-	p.Rounds = maxRounds
+	if res.Err != nil {
+		return nil, res.Err
+	}
 	return p, nil
 }
 

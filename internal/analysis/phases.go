@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 
 	"detlb/internal/balancer"
@@ -36,11 +37,12 @@ type PhaseProfile struct {
 
 // TracePhases runs a good s-balancer and records when each potential level
 // empties. delta is the algorithm's cumulative fairness constant (1 for
-// every good s-balancer).
+// every good s-balancer). It reads the load maximum the round loop streams:
+// φ(c) = 0 exactly when no load exceeds c·d⁺, and the total is conserved,
+// so the final maximum also gives the final balancedness.
 func TracePhases(b *graph.Balancing, algo core.Balancer, x1 []int64, maxRounds int) (*PhaseProfile, error) {
-	eng, err := core.NewEngine(b, algo, x1)
-	if err != nil {
-		return nil, err
+	if maxRounds <= 0 {
+		return nil, fmt.Errorf("analysis: maxRounds must be positive, got %d", maxRounds)
 	}
 	n := int64(b.N())
 	dplus := int64(b.DegreePlus())
@@ -70,23 +72,27 @@ func TracePhases(b *graph.Balancing, algo core.Balancer, x1 []int64, maxRounds i
 		p.ZeroRound[i] = -1
 	}
 	pending := len(p.ZeroRound)
-	for round := 1; round <= maxRounds && pending > 0; round++ {
-		if err := eng.Step(); err != nil {
-			return nil, fmt.Errorf("analysis: phase trace: %w", err)
+	var res RunResult
+	spec := RunSpec{Balancing: b, Algorithm: algo, Initial: x1, MaxRounds: maxRounds}
+	for round, s := range StreamInto(context.Background(), spec, &res) {
+		if round == 0 {
+			continue
 		}
 		p.Rounds = round
-		for i := range p.ZeroRound {
-			if p.ZeroRound[i] >= 0 {
-				continue
-			}
-			c := c1 - int64(i)
-			if core.Phi(eng.Loads(), c, int(dplus)) == 0 {
+		p.FinalBalancedness = s.Max - xbarCeil
+		for i, r := range p.ZeroRound {
+			if r < 0 && s.Max <= (c1-int64(i))*dplus {
 				p.ZeroRound[i] = round
 				pending--
 			}
 		}
+		if pending == 0 {
+			break
+		}
 	}
-	p.FinalBalancedness = core.Balancedness(eng.Loads())
+	if res.Err != nil {
+		return nil, res.Err
+	}
 	return p, nil
 }
 

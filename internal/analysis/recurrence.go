@@ -15,7 +15,8 @@ type observation struct{ disc, lo, hi int64 }
 // observations made since. Once the state equals the snapshot again, the
 // run is periodic from the snapshot on and every later round's observation
 // is one the cycle already holds, so the round loop replays it instead of
-// stepping. It allocates its buffers once per run, never per round.
+// stepping and reports the cycle in RunResult.Cycle. It allocates its
+// buffers once per run, never per round.
 type recurrence struct {
 	rec       core.Recurrent // nil when the run is not detected
 	snap      []int64
@@ -57,6 +58,16 @@ func (c *recurrence) record(round int, o observation) {
 		c.snapRound = round
 		c.nextSnap = round + min(round, recurrenceWindowCap)
 	}
+}
+
+// cycle reports the found cycle, its value extremes taken over the period's
+// observations.
+func (c *recurrence) cycle() *Cycle {
+	cy := &Cycle{Start: c.snapRound, Period: c.period, Min: c.obs[0].disc, Max: c.obs[0].disc}
+	for _, o := range c.obs {
+		cy.Min, cy.Max = min(cy.Min, o.disc), max(cy.Max, o.disc)
+	}
+	return cy
 }
 
 // replay returns the observation of a round after the cycle was found.

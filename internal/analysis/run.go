@@ -220,6 +220,10 @@ type RunResult struct {
 	// Faults holds one record per effective topology delta of a faulted run
 	// (Topology), in event order, each with its recovery metrics.
 	Faults []FaultEvent
+	// Cycle is the cycle the round loop's detector closed on the model's
+	// full state (see recurrence), or nil when none closed: the model is not
+	// core.Recurrent, the run is dynamic, or it stopped first.
+	Cycle *Cycle
 	// Metric names the convergence measure the scalar fields carry: "" for
 	// the plain load discrepancy (the diffusion encoding, kept implicit so
 	// existing consumers and archives are untouched) or the spec Metric's
@@ -229,6 +233,19 @@ type RunResult struct {
 	Metric string
 	// Err is the first audit error, if any.
 	Err error
+}
+
+// Cycle is a full-state cycle of a static run: the model's state after
+// round Start recurs after Period more rounds, so every later round repeats
+// the cycle's rounds.
+type Cycle struct {
+	// Start is a round whose state lies on the cycle.
+	Start int
+	// Period is the state period, a multiple of the load vector's.
+	Period int
+	// Min and Max are the extremes of the tracked value (the discrepancy, or
+	// the spec's Metric) over one period.
+	Min, Max int64
 }
 
 // Run executes the spec by draining the streaming primitive (StreamInto) to

@@ -137,8 +137,8 @@ func (e *streamCanceledError) Unwrap() error { return e.cause }
 // A static spec on a core.Recurrent model stops stepping once the model's
 // full state repeats (see recurrence): later rounds replay the cycle's
 // observations through the same bookkeeping, so results and snapshots are
-// those of stepping every round, and the model is left at the round where
-// the cycle was found.
+// those of stepping every round, the model is left at the round where the
+// cycle was found, and res.Cycle reports the cycle.
 func streamEngine(ctx context.Context, spec RunSpec, m core.Model, res *RunResult) iter.Seq2[Round, Snapshot] {
 	return func(yield func(Round, Snapshot) bool) {
 		inj, injOK := m.(core.Injector)
@@ -462,7 +462,9 @@ func streamEngine(ctx context.Context, spec RunSpec, m core.Model, res *RunResul
 				}
 				o.disc, o.lo, o.hi = observe()
 				if cyc.rec != nil {
-					cyc.record(round, o)
+					if cyc.record(round, o); cyc.period > 0 {
+						res.Cycle = cyc.cycle()
+					}
 				}
 			}
 			disc, lo, hi := o.disc, o.lo, o.hi

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"detlb/internal/balancer"
 	"detlb/internal/core"
@@ -275,7 +276,7 @@ func Thm43(cfg Config) *Table {
 			if d := core.Discrepancy(eng.Loads()); d < minDisc {
 				minDisc = d
 			}
-			if prev2 != nil && !equal64(prev2, eng.Loads()) {
+			if prev2 != nil && !slices.Equal(prev2, eng.Loads()) {
 				period2 = false
 			}
 		}
@@ -285,18 +286,6 @@ func Thm43(cfg Config) *Table {
 			fmt.Sprintf("%.2f", float64(minDisc)/float64(dphi)))
 	}
 	return t
-}
-
-func equal64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FairnessAudit is experiment E8: the empirical cumulative-fairness constants

@@ -570,22 +570,6 @@ func (e *Engine) width() int {
 	return c.chunks(e.bal.N())
 }
 
-// Run executes rounds until the predicate stop(engine) returns true or
-// maxRounds is reached, returning the number of rounds executed and the
-// first audit error, if any. stop is evaluated after each round; a nil stop
-// runs exactly maxRounds rounds.
-func (e *Engine) Run(maxRounds int, stop func(*Engine) bool) (int, error) {
-	for i := 0; i < maxRounds; i++ {
-		if err := e.Step(); err != nil {
-			return i + 1, err
-		}
-		if stop != nil && stop(e) {
-			return i + 1, nil
-		}
-	}
-	return maxRounds, nil
-}
-
 // Extrema returns (min, max) of the vector, or (0, 0) for empty input.
 func Extrema(x []int64) (lo, hi int64) {
 	if len(x) == 0 {

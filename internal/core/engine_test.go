@@ -175,21 +175,6 @@ func TestEngineFlowTracking(t *testing.T) {
 	}
 }
 
-func TestEngineRunStopPredicate(t *testing.T) {
-	b := graph.Lazy(graph.Hypercube(4))
-	eng := MustEngine(b, evenSplit{}, pointMass(16, 1600))
-	rounds, err := eng.Run(10000, func(e *Engine) bool { return e.Discrepancy() <= 32 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds == 10000 {
-		t.Fatal("stop predicate never fired")
-	}
-	if eng.Discrepancy() > 32 {
-		t.Fatalf("stopped at discrepancy %d", eng.Discrepancy())
-	}
-}
-
 func TestDiscrepancyAndBalancedness(t *testing.T) {
 	if Discrepancy(nil) != 0 {
 		t.Fatal("empty discrepancy")

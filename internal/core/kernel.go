@@ -2,13 +2,14 @@ package core
 
 import "runtime"
 
-// Kernel is the model-agnostic execution substrate every simulation model in
-// this module runs on: a persistent worker-goroutine pool plus the
-// deterministic chunking contract that makes parallel rounds bit-identical to
-// serial ones. The diffusion Engine and the population-protocol machines
-// (internal/protocol) both dispatch their rounds through a Kernel; anything
-// scheduled through it inherits the determinism guarantees the engine's tests
-// pin.
+// Kernel is the model-agnostic execution substrate for simulation models: a
+// persistent worker-goroutine pool plus the deterministic chunking contract
+// that makes parallel rounds bit-identical to serial ones. The
+// population-protocol machines (internal/protocol) dispatch their rounds
+// through a Kernel. The diffusion Engine runs on the same crew directly, so
+// that it can pick its width round by round and take lent helpers, under the
+// same chunking contract; anything scheduled through a Kernel inherits the
+// determinism guarantees the engine's tests pin.
 //
 // A round is one fused dispatch: every worker runs the first phase on its
 // node range, meets the others at a barrier, then runs the second phase on

@@ -31,7 +31,8 @@ import (
 //
 // The arcs are stored once, in CSR form with implicit offsets: the arc
 // (u, i) has position p = u*d + i, and node u's d out-neighbors occupy
-// heads[u*d : (u+1)*d]. The reverse index is kept in the same layout.
+// heads[u*d : (u+1)*d]. The reverse index's tails are kept in the same
+// layout.
 //
 // Every graph comes out of one constructor, which takes the flat heads
 // array, checks the invariants and builds the reverse index. The family
@@ -46,16 +47,11 @@ type Graph struct {
 	// One contiguous int32 array, 4 bytes per arc, indexed by arc position.
 	heads []int32
 
-	// revPos is the flat reverse index: revPos[v*d : (v+1)*d] lists, in
-	// ascending order, the arc positions p = u*d+i with heads[p] == v — the
-	// in-arcs of v. Regularity and symmetry guarantee exactly d entries per
-	// node, so the layout mirrors heads.
-	revPos []int32
-
-	// revSrc resolves each reverse entry to its tail node:
-	// revSrc[k] = revPos[k]/d. It lets consumers that only need per-node
-	// quantities (e.g. the continuous diffusion inflow sum) avoid a
-	// division per arc.
+	// revSrc is the flat reverse index by tail: revSrc[v*d : (v+1)*d] lists
+	// the tails of v's in-arcs in arc order (so in ascending order).
+	// Regularity and symmetry guarantee exactly d entries per node, so the
+	// layout mirrors heads. Consumers that only need per-node quantities
+	// (e.g. the continuous diffusion inflow sum) read it.
 	revSrc []int32
 
 	// nu2 is the analytically known second-largest eigenvalue of the
@@ -123,12 +119,12 @@ func newGraph(name string, n, d int, heads []int32) (*Graph, error) {
 		return nil, err
 	}
 	// Symmetry gives every node in-degree d, so node v's reverse entries
-	// occupy revPos[v*d : (v+1)*d].
-	revPos, revSrc, err := reverseIndex(n, func(u int) []int32 { return heads[u*d : (u+1)*d] })
+	// occupy revSrc[v*d : (v+1)*d].
+	revSrc, err := reverseIndex(n, func(u int) []int32 { return heads[u*d : (u+1)*d] })
 	if err != nil {
 		return nil, fmt.Errorf("graph %s: %w", name, err)
 	}
-	return &Graph{name: name, n: n, d: d, heads: heads, revPos: revPos, revSrc: revSrc}, nil
+	return &Graph{name: name, n: n, d: d, heads: heads, revSrc: revSrc}, nil
 }
 
 // checkShape rejects a zero degree and an arc count past the int32 flat
@@ -156,13 +152,9 @@ func must(g *Graph, err error) *Graph {
 // (u, i). The slice is shared with the graph and must not be modified.
 func (g *Graph) Heads() []int32 { return g.heads }
 
-// RevArcPos returns the flat reverse index: revPos[v*d : (v+1)*d] lists the
-// positions p = u*d+i of the arcs whose head is v, in ascending order. The
-// slice is shared with the graph and must not be modified.
-func (g *Graph) RevArcPos() []int32 { return g.revPos }
-
-// RevArcSrc returns the tail-node component of the flat reverse index
-// (RevArcPos entry-wise divided by d). Shared; do not modify.
+// RevArcSrc returns the flat reverse index by tail: entries v*d to (v+1)*d
+// list the tails of the arcs whose head is v, in arc order. Shared; do not
+// modify.
 func (g *Graph) RevArcSrc() []int32 { return g.revSrc }
 
 // MustNew is New for statically known-good adjacency lists; it panics on
@@ -186,7 +178,7 @@ func (g *Graph) Neighbors(u int) []int32 { return g.heads[u*g.d : (u+1)*g.d] }
 // Validate re-checks the Graph invariants listed on the type against the
 // CSR store.
 func (g *Graph) Validate() error {
-	if _, _, err := reverseIndex(g.n, g.Neighbors); err != nil {
+	if _, err := reverseIndex(g.n, g.Neighbors); err != nil {
 		return fmt.Errorf("graph %s: %w", g.name, err)
 	}
 	return nil
@@ -201,16 +193,15 @@ func (g *Graph) Validate() error {
 // smallest pair (u, v) whose two directions have different counts, so the
 // message never depends on iteration order.
 func CheckSymmetric[T int | int32](adj [][]T) error {
-	_, _, err := reverseIndex(len(adj), func(u int) []T { return adj[u] })
+	_, err := reverseIndex(len(adj), func(u int) []T { return adj[u] })
 	return err
 }
 
-// reverseIndex is CheckSymmetric over the n rows that row returns, the rows
-// numbering their arcs 0, 1, … in order. It returns the reverse index it
-// builds on the way: node v's in-arcs occupy one bucket, in arc order, with
-// revPos holding each in-arc's number and revSrc its tail; the buckets come
-// in node order, each as long as its node's in-degree.
-func reverseIndex[T int | int32](n int, row func(u int) []T) (revPos, revSrc []int32, err error) {
+// reverseIndex is CheckSymmetric over the n rows that row returns. It
+// returns the reverse index it builds on the way: node v's in-arcs occupy
+// one bucket, in arc order, with revSrc holding each in-arc's tail; the
+// buckets come in node order, each as long as its node's in-degree.
+func reverseIndex[T int | int32](n int, row func(u int) []T) (revSrc []int32, err error) {
 	// The arc multiset is symmetric iff its (tail, head) pairs, sorted,
 	// equal its (head, tail) pairs, sorted; at the first position where they
 	// differ, the smaller pair is the smallest one whose two directions have
@@ -224,10 +215,10 @@ func reverseIndex[T int | int32](n int, row func(u int) []T) (revPos, revSrc []i
 		nbrs := row(u)
 		for _, v := range nbrs {
 			if v < 0 || int(v) >= n {
-				return nil, nil, fmt.Errorf("node %d has neighbor %d out of range [0,%d)", u, v, n)
+				return nil, fmt.Errorf("node %d has neighbor %d out of range [0,%d)", u, v, n)
 			}
 			if int(v) == u {
-				return nil, nil, fmt.Errorf("node %d has a self-arc; self-loops belong to Balancing", u)
+				return nil, fmt.Errorf("node %d has a self-arc; self-loops belong to Balancing", u)
 			}
 			inEnd[v+1]++
 		}
@@ -236,14 +227,11 @@ func reverseIndex[T int | int32](n int, row func(u int) []T) (revPos, revSrc []i
 	for v := 0; v < n; v++ {
 		inEnd[v+1] += inEnd[v]
 	}
-	revPos, revSrc = make([]int32, total), make([]int32, total)
-	p := int32(0)
+	revSrc = make([]int32, total)
 	for u := 0; u < n; u++ {
 		for _, v := range row(u) {
-			k := inEnd[v]
-			revPos[k], revSrc[k] = p, int32(u)
+			revSrc[inEnd[v]] = int32(u)
 			inEnd[v]++
-			p++
 		}
 	}
 	// inEnd[v] is now where v's bucket ends; outEnd[u] will be where u's
@@ -286,10 +274,10 @@ func reverseIndex[T int | int32](n int, row func(u int) []T) (revPos, revSrc []i
 		if a > 0 {
 			lo = inEnd[a-1]
 		}
-		return nil, nil, fmt.Errorf("asymmetric arc multiset: %d arcs %d->%d but %d arcs %d->%d",
+		return nil, fmt.Errorf("asymmetric arc multiset: %d arcs %d->%d but %d arcs %d->%d",
 			count(sorted[outEnd[a]-len(row(a)):outEnd[a]], b), a, b, count(revSrc[lo:inEnd[a]], b), b, a)
 	}
-	return revPos, revSrc, nil
+	return revSrc, nil
 }
 
 // count returns how often x occurs in the ascending s.

@@ -353,19 +353,15 @@ func refNew(name string, adj [][]int) (*Graph, error) {
 		}
 	}
 	// Every node has in-degree exactly d, so node v's reverse entries occupy
-	// revPos[v*d : (v+1)*d]; a single cursor pass fills them in arc order.
-	g.revPos = make([]int32, n*d)
+	// revSrc[v*d : (v+1)*d]; a single cursor pass fills them in arc order.
+	g.revSrc = make([]int32, n*d)
 	cursor := make([]int32, n)
 	for v := range cursor {
 		cursor[v] = int32(v * d)
 	}
 	for p, v := range g.heads {
-		g.revPos[cursor[v]] = int32(p)
+		g.revSrc[cursor[v]] = int32(p / d)
 		cursor[v]++
-	}
-	g.revSrc = make([]int32, n*d)
-	for k, p := range g.revPos {
-		g.revSrc[k] = p / int32(d)
 	}
 	return g, nil
 }

@@ -17,9 +17,6 @@ func sameGraph(t testing.TB, got, want *Graph) {
 	if !slices.Equal(got.Heads(), want.Heads()) {
 		t.Fatalf("%s: Heads differ", want.Name())
 	}
-	if !slices.Equal(got.RevArcPos(), want.RevArcPos()) {
-		t.Fatalf("%s: RevArcPos differ", want.Name())
-	}
 	if !slices.Equal(got.RevArcSrc(), want.RevArcSrc()) {
 		t.Fatalf("%s: RevArcSrc differ", want.Name())
 	}
