@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -11,29 +12,40 @@ import (
 // a few rounds before the rotors move them again, so a detector comparing
 // loads alone reported a false period 1 there; on the third it found no
 // cycle at all. The hypercube:6 periods are the load periods the load-only
-// detector verified on these specs.
+// detector verified on these specs. brent is the round a single snapshot
+// after rounds 1, 2, 4, … reported the cycle entered by; the checkpoint
+// detector never reports a later one.
 func TestOrbitPrintsStateCycle(t *testing.T) {
 	for _, c := range []struct {
-		spec string
-		want string
+		spec  string
+		want  string
+		brent int
 	}{
 		{"-graph cycle:16 -loops 2 -algo rotor-router -workload random:40,9",
-			"state cycle: period 16 entered by round 128, discrepancy 1..1"},
+			"state cycle: period 16 entered by round 128, discrepancy 1..1", 128},
 		{"-graph hypercube:4 -loops 4 -algo rotor-router -workload random:40,10",
-			"state cycle: period 64 entered by round 64, discrepancy 1..1"},
+			"state cycle: period 64 entered by round 64, discrepancy 1..1", 64},
 		{"-graph hypercube:5 -algo good:2 -workload point:5000",
-			"state cycle: period 64 entered by round 64, discrepancy 2..5"},
+			"state cycle: period 64 entered by round 64, discrepancy 2..5", 64},
 		{"-graph hypercube:6 -algo send-floor -workload point:10000",
-			"state cycle: period 2 entered by round 64, discrepancy 7..11"},
+			"state cycle: period 2 entered by round 48, discrepancy 7..11", 64},
 		{"-graph hypercube:6 -algo send-round -workload point:10000",
-			"state cycle: period 1 entered by round 32, discrepancy 8..8"},
+			"state cycle: period 1 entered by round 32, discrepancy 8..8", 32},
 		{"-graph hypercube:6 -algo good:2 -workload point:10000",
-			"state cycle: period 1 entered by round 128, discrepancy 2..2"},
+			"state cycle: period 1 entered by round 96, discrepancy 2..2", 128},
 		{"-graph hypercube:6 -algo rotor-router -workload point:10000",
-			"state cycle: period 48 entered by round 128, discrepancy 1..2"},
+			"state cycle: period 48 entered by round 128, discrepancy 1..2", 128},
 		{"-graph hypercube:6 -algo biased -workload point:10000",
-			"state cycle: period 2 entered by round 64, discrepancy 11..11"},
+			"state cycle: period 2 entered by round 48, discrepancy 11..11", 64},
 	} {
+		var start, period int
+		var lo, hi int64
+		if _, err := fmt.Sscanf(c.want, "state cycle: period %d entered by round %d, discrepancy %d..%d", &period, &start, &lo, &hi); err != nil {
+			t.Fatalf("%s: %v", c.want, err)
+		}
+		if start > c.brent {
+			t.Errorf("%s: cycle entered by round %d, later than the single snapshot's %d", c.spec, start, c.brent)
+		}
 		var out bytes.Buffer
 		if code := run(append(strings.Fields(c.spec), "-orbit"), &out); code != 0 {
 			t.Fatalf("%s: exit %d\n%s", c.spec, code, out.String())

@@ -251,9 +251,11 @@ func (value) Name() string                { return "value" }
 func (value) Measure(state []int64) int64 { return state[0] }
 
 // TestRecurrenceWindowCap: a period as long as the detection window is
-// found, from the first snapshot a full window long; one round longer is
-// not, and the run simply steps to its horizon. Both give the result of
-// stepping every round.
+// found, from the first checkpoint that stays live a full window long (round
+// recurrenceWindowCap/recurrenceSlots, no later than the single
+// power-of-two snapshot at recurrenceWindowCap); one round longer is not,
+// and the run simply steps to its horizon. Both give the result of stepping
+// every round.
 func TestRecurrenceWindowCap(t *testing.T) {
 	for _, tc := range []struct {
 		period int64
@@ -275,7 +277,12 @@ func TestRecurrenceWindowCap(t *testing.T) {
 		got, stepped := runStepped(spec, m)
 		var cycle *Cycle
 		if tc.found {
-			cycle = &Cycle{Start: recurrenceWindowCap, Period: recurrenceWindowCap, Min: 0, Max: recurrenceWindowCap - 1}
+			cycle = &Cycle{Start: recurrenceWindowCap / recurrenceSlots, Period: recurrenceWindowCap, Min: 0, Max: recurrenceWindowCap - 1}
+			bm, _ := spec.Model.New(spec.Initial, 0)
+			brent := newBrentRecurrence(bm.(core.Recurrent), spec.MaxRounds)
+			if _, b := closeCycle(bm, &brent, spec.MaxRounds); b == nil || b.Start < cycle.Start {
+				t.Fatalf("period %d: the single snapshot reports cycle %+v, earlier than %+v", tc.period, b, cycle)
+			}
 		}
 		if !reflect.DeepEqual(got.Cycle, cycle) {
 			t.Fatalf("period %d: cycle %+v, want %+v", tc.period, got.Cycle, cycle)

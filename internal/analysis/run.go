@@ -239,7 +239,10 @@ type RunResult struct {
 // round Start recurs after Period more rounds, so every later round repeats
 // the cycle's rounds.
 type Cycle struct {
-	// Start is a round whose state lies on the cycle.
+	// Start is a round whose state lies on the cycle: the detector's
+	// checkpoint the state matched Period rounds later. It is at least the
+	// round the state enters the cycle by, and for an entry round μ at most
+	// the first checkpoint round ≥ max(μ, Period) (see recurrence).
 	Start int
 	// Period is the state period, a multiple of the load vector's.
 	Period int

@@ -115,7 +115,8 @@ func (c *crew) chunks(n int) int {
 // help seats the calling goroutine at a free seat of a lending crew and
 // runs its chunk of every round until the crew is closed. It returns false
 // at once, without running anything, when the crew is closed or full (a
-// fixed crew is always full).
+// fixed crew is always full). The seat's accumulator comes from accPool and
+// goes back to it when the helper unseats.
 func (c *crew) help() bool {
 	c.mu.Lock()
 	s := int(c.seated.Load()) + 1
@@ -123,11 +124,31 @@ func (c *crew) help() bool {
 		c.mu.Unlock()
 		return false
 	}
-	c.seats[s].acc = make([]int64, c.accN)
+	acc := takeAcc(c.accN)
+	c.seats[s].acc = *acc
 	c.seated.Store(int32(s))
 	c.mu.Unlock()
 	c.serve(s)
+	// The crew is closed and runs no more rounds, so nothing reads the seat.
+	c.seats[s].acc = nil
+	accPool.Put(acc)
 	return true
+}
+
+// accPool holds the accumulators of unseated lent helpers, so lending a
+// goroutine to one engine after another reuses one accumulator.
+var accPool sync.Pool // of *[]int64
+
+// takeAcc returns a zeroed accumulator of n words from accPool, or a new one
+// when the pool has none of that capacity.
+func takeAcc(n int) *[]int64 {
+	if acc, _ := accPool.Get().(*[]int64); acc != nil && cap(*acc) >= n {
+		*acc = (*acc)[:n]
+		clear(*acc)
+		return acc
+	}
+	acc := make([]int64, n)
+	return &acc
 }
 
 // serve is a helper's loop: wait for a ticket, run the seat's chunk, repeat

@@ -272,3 +272,41 @@ func TestHelperPanicReachesCaller(t *testing.T) {
 		t.Fatal("lent helper did not return after Close")
 	}
 }
+
+// TestLentAccumulatorReused: a helper lent to one engine after another
+// takes its accumulator from the pool the last one returned it to, zeroed,
+// so a pooled accumulator left dirty and longer than the engine needs still
+// gives every round of the serial engine.
+func TestLentAccumulatorReused(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for range 2 {
+		eng, ref := lendable(t)
+		dirty := make([]int64, 2*eng.N())
+		for i := range dirty {
+			dirty[i] = int64(i) + 1
+		}
+		accPool.Put(&dirty)
+		helped := make(chan bool)
+		go func() { helped <- eng.Help() }()
+		waitSeated(t, eng)
+		for range 3 {
+			if err := eng.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(eng.Loads(), ref.Loads()) {
+				t.Fatalf("round %d: loads differ from the serial engine", eng.Round())
+			}
+		}
+		eng.Close()
+		ref.Close()
+		if !<-helped {
+			t.Fatal("Help returned false after serving")
+		}
+	}
+	if acc := takeAcc(8); len(*acc) != 8 || slices.ContainsFunc(*acc, func(v int64) bool { return v != 0 }) {
+		t.Fatalf("pooled accumulator %v, want 8 zeros", *acc)
+	}
+}
