@@ -119,16 +119,35 @@ func TestFacadeIrregular(t *testing.T) {
 
 func TestFacadeWeighted(t *testing.T) {
 	b := detlb.Lazy(detlb.Hypercube(4))
-	eng, err := detlb.NewWeightedEngine(b, detlb.WeightedRotorDealer{},
+	mb, err := detlb.NewWeightedBuilder(b, detlb.WeightedRotorDealer{},
 		detlb.UniformTokens(16, 0, 500, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(800)
-	if eng.TotalWeight() != 1000 {
-		t.Fatalf("weight %d", eng.TotalWeight())
+	res := detlb.Run(detlb.RunSpec{Balancing: b, Model: mb, Initial: mb.Initial(), MaxRounds: 800})
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	if eng.WeightDiscrepancy() > 16 {
-		t.Fatalf("weight discrepancy %d", eng.WeightDiscrepancy())
+	if res.InitialDiscrepancy != 1000 || res.Rounds != 800 {
+		t.Fatalf("initial weight discrepancy %d after %d rounds", res.InitialDiscrepancy, res.Rounds)
+	}
+	if res.FinalDiscrepancy > 16 {
+		t.Fatalf("weight discrepancy %d", res.FinalDiscrepancy)
+	}
+	m, err := mb.New(mb.Initial(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 800 {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var total int64
+	for _, w := range m.State() {
+		total += w
+	}
+	if total != 1000 {
+		t.Fatalf("weight %d", total)
 	}
 }

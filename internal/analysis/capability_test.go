@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"detlb/internal/balancer"
@@ -213,7 +214,7 @@ func runStepped(spec RunSpec, m core.Model) (RunResult, int) {
 	return res, m.Round()
 }
 
-// counterBuilder builds counters: one node counting up modulo period, a
+// counterBuilder builds counters: every node counting up modulo period, a
 // core.Recurrent model whose cycle is exactly period rounds long from round
 // zero.
 type counterBuilder struct{ period int64 }
@@ -221,34 +222,64 @@ type counterBuilder struct{ period int64 }
 func (*counterBuilder) Name() string             { return "counter" }
 func (*counterBuilder) DefaultHorizon(n int) int { return 1 }
 func (cb *counterBuilder) New(x1 []int64, workers int) (core.Model, error) {
-	return &counter{v: x1[0], period: cb.period}, nil
+	return &counter{v: append([]int64(nil), x1...), period: cb.period}, nil
 }
 
 type counter struct {
-	v, period int64
-	round     int
+	v      []int64
+	period int64
+	round  int
 }
 
 var _ core.Recurrent = (*counter)(nil)
 
-func (c *counter) N() int         { return 1 }
-func (c *counter) State() []int64 { return []int64{c.v} }
+func (c *counter) N() int         { return len(c.v) }
+func (c *counter) State() []int64 { return c.v }
 func (c *counter) Round() int     { return c.round }
 func (c *counter) Close()         {}
 func (c *counter) Step() error {
-	c.v = (c.v + 1) % c.period
+	for i := range c.v {
+		c.v[i] = (c.v[i] + 1) % c.period
+	}
 	c.round++
 	return nil
 }
 func (c *counter) Recurrent() bool                 { return true }
-func (c *counter) AppendState(dst []int64) []int64 { return append(dst, c.v) }
-func (c *counter) StateEquals(snap []int64) bool   { return snap[0] == c.v }
+func (c *counter) AppendState(dst []int64) []int64 { return append(dst, c.v...) }
+func (c *counter) StateEquals(snap []int64) bool   { return slices.Equal(snap, c.v) }
 
 // value tracks the single node's state as the run's metric.
 type value struct{}
 
 func (value) Name() string                { return "value" }
 func (value) Measure(state []int64) int64 { return state[0] }
+
+// TestModelSpecWithoutMetricTracksDiscrepancy: a model spec with no Metric
+// tracks max − min of the model's state, as a diffusion spec does, from the
+// initial vector on, and its cycle carries the same values.
+func TestModelSpecWithoutMetricTracksDiscrepancy(t *testing.T) {
+	const period = 5
+	spec := RunSpec{
+		Balancing: graph.Lazy(graph.Cycle(3)), Model: &counterBuilder{period},
+		Initial: []int64{0, 3}, MaxRounds: 12, SampleEvery: 1,
+	}
+	res := checkMatchesStepping(t, spec)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res.Metric != "" || res.InitialDiscrepancy != 3 {
+		t.Fatalf("metric %q, initial %d; want the implicit discrepancy 3", res.Metric, res.InitialDiscrepancy)
+	}
+	for _, p := range res.Series {
+		a, b := int64(p.Round)%period, (3+int64(p.Round))%period
+		if p.Max != max(a, b) || p.Min != min(a, b) || p.Discrepancy != p.Max-p.Min {
+			t.Fatalf("round %d: point %+v, want the extremes of (%d, %d) and their difference", p.Round, p, a, b)
+		}
+	}
+	if res.MinDiscrepancy != 2 || res.Cycle == nil || res.Cycle.Min != 2 || res.Cycle.Max != 3 {
+		t.Fatalf("min %d, cycle %+v; want 2 and a cycle over [2, 3]", res.MinDiscrepancy, res.Cycle)
+	}
+}
 
 // TestRecurrenceWindowCap: a period as long as the detection window is
 // found, from the first checkpoint that stays live a full window long (round

@@ -137,7 +137,6 @@ func TestModelSpecRejections(t *testing.T) {
 	}{
 		{"no balancing", func(s *RunSpec) { s.Balancing = nil }},
 		{"both algorithm and model", func(s *RunSpec) { s.Algorithm = balancer.NewSendFloor() }},
-		{"no metric", func(s *RunSpec) { s.Metric = nil }},
 		{"workload schedule", func(s *RunSpec) { s.Events = workload.Burst{Round: 1, Node: 0, Amount: 8} }},
 		{"topology schedule", func(s *RunSpec) { s.Topology = topology.Partition{Round: 1, Boundary: 32} }},
 		{"engine auditors", func(s *RunSpec) { s.Auditors = []core.Auditor{core.NewConservationAuditor()} }},

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"slices"
-
-	"detlb/internal/core"
-)
+import "detlb/internal/core"
 
 // recurrenceWindowCap caps how far back the cycle detector looks: no
 // checkpoint is compared once it is more than this many rounds old, and a
@@ -56,15 +52,15 @@ type checkpoint struct {
 // The first return is at max(μ, 1) + λ.
 //
 // The observations of the last min(horizon, recurrenceWindowCap) rounds sit
-// in a ring, which covers the oldest live checkpoint's round on. The
-// detector allocates its buffers once per run, never per round.
+// in a ring, which covers the oldest live checkpoint's round on. A slot's
+// state buffer is allocated when the slot first fills and reused after, so
+// the detector allocates at most once per slot per run, never per round.
 type recurrence struct {
 	rec      core.Recurrent // nil when the run is not detected
 	slots    [recurrenceSlots]checkpoint
-	states   []int64 // slot i's state at [i·width, (i+1)·width)
-	width    int     // the full state's length
-	spacing  int     // rounds between checkpoints
-	nextSnap int     // the round whose state is checkpointed next
+	states   [recurrenceSlots][]int64 // slot i's full state
+	spacing  int                      // rounds between checkpoints
+	nextSnap int                      // the round whose state is checkpointed next
 	obs      []observation
 	start    int // the cycle's checkpoint round once found
 	period   int // the cycle length once found, 0 before
@@ -89,7 +85,7 @@ func newRecurrence(spec RunSpec, m core.Model, horizon int) recurrence {
 func (c *recurrence) record(round int, o observation) {
 	c.obs[round%len(c.obs)] = o
 	for i, k := range c.slots {
-		if k.round > 0 && k.o == o && c.rec.StateEquals(c.slot(i)) {
+		if k.round > 0 && k.o == o && c.rec.StateEquals(c.states[i]) {
 			c.start, c.period = k.round, round-k.round
 			return
 		}
@@ -105,21 +101,8 @@ func (c *recurrence) record(round int, o observation) {
 		c.spacing *= 2
 		return
 	}
-	if c.states == nil {
-		// The first checkpoint gives the state's length, which sizes the
-		// buffer for every slot.
-		s := c.rec.AppendState(nil)
-		c.width = len(s)
-		c.states = slices.Grow(s, (recurrenceSlots-1)*c.width)[:recurrenceSlots*c.width]
-	} else {
-		c.rec.AppendState(c.slot(free)[:0])
-	}
+	c.states[free] = c.rec.AppendState(c.states[free][:0])
 	c.slots[free] = checkpoint{round, o}
-}
-
-// slot returns slot i's state, capped so appending to it stays in place.
-func (c *recurrence) slot(i int) []int64 {
-	return c.states[i*c.width : (i+1)*c.width : (i+1)*c.width]
 }
 
 // evict makes room for a due checkpoint and returns the free slot, or -1

@@ -8,6 +8,7 @@ import (
 	"detlb/internal/balancer"
 	"detlb/internal/core"
 	"detlb/internal/graph"
+	"detlb/internal/weighted"
 	"detlb/internal/workload"
 )
 
@@ -234,5 +235,28 @@ func TestDetectOrbitSurvivesFailedVerification(t *testing.T) {
 	})
 	if res.Err != nil || res.Cycle != nil {
 		t.Fatalf("cycle %+v, err %v; want neither", res.Cycle, res.Err)
+	}
+}
+
+// TestWeightedCycleMatchesStepping: a weighted-token run, both dealers and a
+// weight mix with zero weights, closes its full-state cycle and gives the
+// result and snapshots of stepping every round, the cycle set aside.
+func TestWeightedCycleMatchesStepping(t *testing.T) {
+	b := graph.WithLoops(graph.Hypercube(4), 5)
+	weights := make([]int64, 300)
+	for i := range weights {
+		weights[i] = int64(i*7) % 9
+	}
+	for _, dealer := range []weighted.Dealer{weighted.RotorDealer{}, weighted.HalfDealer{}} {
+		mb, err := weighted.NewBuilder(b, dealer, weighted.SpreadTokens(16, 3, weights))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := checkMatchesStepping(t, RunSpec{
+			Balancing: b, Model: mb, Initial: mb.Initial(), MaxRounds: 2000, SampleEvery: 7,
+		})
+		if res.Err != nil || res.Cycle == nil {
+			t.Fatalf("%s: cycle %+v, err %v; want a cycle", dealer.Name(), res.Cycle, res.Err)
+		}
 	}
 }

@@ -24,16 +24,17 @@ type RunSpec struct {
 	Algorithm core.Balancer
 	// Model, when non-nil, replaces the diffusion engine: the run executes a
 	// model built by Model.New(Initial, Workers) — a population-protocol
-	// machine, say — through the same round loop. Algorithm must be nil and
-	// Metric set; Balancing is still required (it sizes the run and labels
-	// results). Events and Topology need the model to implement
+	// machine or the weighted-token process, say — through the same round
+	// loop. Algorithm must be nil; Balancing is still required (it sizes the
+	// run and labels results). Events and Topology need the model to implement
 	// core.Injector and core.Faultable; Auditors are engine-typed. A spec
 	// asking for what its model lacks fails through RunResult.Err.
 	Model core.ModelBuilder
-	// Metric maps the state to the scalar convergence measure (required with
-	// Model; nil means the load discrepancy max − min). TargetDiscrepancy,
-	// Patience, and the Series/Snapshot discrepancy fields all read this
-	// metric's value, so time-to-target generalizes to time-to-consensus.
+	// Metric maps the state to the scalar convergence measure; nil means the
+	// discrepancy max − min of the state, for a model as for the diffusion
+	// engine. TargetDiscrepancy, Patience, and the Series/Snapshot
+	// discrepancy fields all read this metric's value, so time-to-target
+	// generalizes to time-to-consensus.
 	Metric core.Metric
 	// Initial is x₁ (not mutated).
 	Initial []int64
@@ -278,13 +279,12 @@ func prepareResult(spec RunSpec) (res RunResult, ok bool) {
 	if spec.Balancing == nil {
 		return fail("analysis: spec needs a balancing graph (it sizes the run and labels results)")
 	}
+	res.InitialDiscrepancy = core.Discrepancy(spec.Initial)
 	var horizon int // the default horizon, before HorizonMultiple
 	if spec.Model != nil {
 		switch {
 		case spec.Algorithm != nil:
 			return fail("analysis: spec sets both Algorithm and Model; pick one")
-		case spec.Metric == nil:
-			return fail("analysis: model spec needs a Metric")
 		case len(spec.Auditors) > 0:
 			return fail("analysis: spec auditors are engine-typed; model invariants are audited inside the model")
 		}
@@ -294,11 +294,9 @@ func prepareResult(spec RunSpec) (res RunResult, ok bool) {
 			return fail("analysis: spec needs an algorithm or a model")
 		}
 		mu := spectral.Gap(spec.Balancing)
-		k := core.Discrepancy(spec.Initial)
 		res.Gap = mu
-		res.InitialDiscrepancy = k
 		if mu > muZeroTol {
-			res.BalancingTime = spectral.BalancingTime(spec.Balancing.N(), int(k), mu)
+			res.BalancingTime = spectral.BalancingTime(spec.Balancing.N(), int(res.InitialDiscrepancy), mu)
 		} else if spec.MaxRounds == 0 {
 			// λ₂ = 1 up to the solver's round-off: the
 			// balancing graph is disconnected and the paper's horizon

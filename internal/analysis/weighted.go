@@ -48,15 +48,17 @@ func WeightedExperiment(cfg Config) *Table {
 		for i := range weights {
 			weights[i] = m.gen(i, rng)
 		}
-		eng, err := weighted.NewEngine(b, weighted.RotorDealer{}, weighted.SpreadTokens(n, 0, weights))
-		if err != nil {
-			t.AddRow(m.name, "-", "-", "-", "ERR: "+err.Error(), "-")
+		mb, err := weighted.NewBuilder(b, weighted.RotorDealer{}, weighted.SpreadTokens(n, 0, weights))
+		res := RunResult{Err: err}
+		if err == nil {
+			res = Run(RunSpec{Balancing: b, Model: mb, Initial: mb.Initial(), MaxRounds: rounds})
+		}
+		if res.Err != nil {
+			t.AddRow(m.name, "-", "-", "-", "ERR: "+res.Err.Error(), "-")
 			continue
 		}
-		eng.Run(rounds)
-		disc := eng.WeightDiscrepancy()
-		t.AddRow(m.name, i64toa(m.wmax), itoa(count), itoa(rounds), i64toa(disc),
-			fmt.Sprintf("%.2f", float64(disc)/float64(int64(b.Degree())*m.wmax)))
+		t.AddRow(m.name, i64toa(m.wmax), itoa(count), itoa(rounds), i64toa(res.FinalDiscrepancy),
+			fmt.Sprintf("%.2f", float64(res.FinalDiscrepancy)/float64(int64(b.Degree())*m.wmax)))
 	}
 	return t
 }

@@ -3,12 +3,13 @@ package detlb
 import "detlb/internal/weighted"
 
 // Non-uniform tokens extension (related work [4]): tokens carry integer
-// weights and the discrepancy is measured in total weight per node.
+// weights and the discrepancy is measured in total weight per node. The
+// process is a Model; run it with RunSpec{Model: b, Initial: b.Initial()}.
 type (
 	// WeightedToken is one indivisible weighted work item.
 	WeightedToken = weighted.Token
-	// WeightedEngine runs the weighted diffusive process.
-	WeightedEngine = weighted.Engine
+	// WeightedBuilder is the ModelBuilder of the weighted process.
+	WeightedBuilder = weighted.Builder
 	// WeightedRotorDealer is the weighted rotor-router (largest-first deal).
 	WeightedRotorDealer = weighted.RotorDealer
 	// WeightedHalfDealer is the hoarding baseline dealer.
@@ -16,8 +17,8 @@ type (
 )
 
 var (
-	// NewWeightedEngine binds a weighted balancer to a balancing graph.
-	NewWeightedEngine = weighted.NewEngine
+	// NewWeightedBuilder groups tokens into weight classes for one dealer.
+	NewWeightedBuilder = weighted.NewBuilder
 	// UniformTokens places equal-weight tokens on one node.
 	UniformTokens = weighted.UniformTokens
 	// SpreadTokens places tokens with explicit weights on one node.
