@@ -17,13 +17,14 @@
 //     adjacency and reverse index, per-arc engine state lives in single
 //     backing arrays sub-sliced per node, and the paper's schemes
 //     distribute through a compressed (base, extra-token mask) bulk path
-//     whose masks the engine pushes onto arc heads a byte at a time through
-//     one table. Each round picks its width: serial, a fixed WithWorkers
-//     width, or width 2 while an idle sweep runner helps a large engine
-//     (Engine.Help), every chunk pushing into its own accumulator and
-//     folding after one barrier. Step performs zero steady-state
-//     allocations, and load trajectories are bit-identical for every
-//     width, even one that changes every round (see internal/core);
+//     that the engine pushes onto arc heads less one round-wide base, so a
+//     converged round moves only its extra tokens. Each round picks its
+//     width: serial, a fixed WithWorkers width, or width 2 while an idle
+//     sweep runner helps a large engine (Engine.Help), every chunk
+//     pushing into its own accumulator and folding after one barrier.
+//     Step performs zero steady-state allocations, and load trajectories
+//     are bit-identical for every width, even one that changes every
+//     round (see internal/core);
 //   - spectral utilities (eigenvalue gap µ, balancing time T = O(log(Kn)/µ)),
 //     with Lanczos solver results memoized per graph behind weak references;
 //   - the experiment harness regenerating the paper's Table 1 and one

@@ -71,7 +71,7 @@ func checkFlatRound(t *testing.T, name string, round int, rd core.RangeDistribut
 			sum += want
 		}
 		if mask>>uint(d) != 0 {
-			t.Fatalf("%s: round %d node %d: mask has bits above degree %d: %b", name, round, u, d, mask)
+			t.Fatalf("%s: round %d node %d: mask has bits at or above degree %d: %b", name, round, u, d, mask)
 		}
 		if kept[u] != x[u]-sum {
 			t.Fatalf("%s: round %d node %d: kept %d, want %d", name, round, u, kept[u], x[u]-sum)

@@ -102,9 +102,11 @@ func FuzzGoodSRoundFair(f *testing.F) {
 
 // FuzzFlatMatchesPerNode cross-checks every FlatBalancer's DistributeRange
 // against its per-node Distribute on fuzzed degrees, self-loop counts, graph
-// seeds and loads, over several rounds so rotor state advances too. algoIn
-// picks send-floor, send-round, rotor-router, good-s or biased rounding; the
-// seed corpus under testdata/fuzz covers each of them.
+// seeds and loads, over several rounds so rotor state advances too, and
+// holds every mask to core.RangeDistributor's contract that its bits lie
+// below d (checkFlatRound). algoIn picks send-floor, send-round,
+// rotor-router, good-s or biased rounding — every FlatBalancer in this
+// package; the seed corpus under testdata/fuzz covers each of them.
 func FuzzFlatMatchesPerNode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, algoIn, dIn, loopsIn uint8, seed int64, loads []byte) {
 		const n = 18
@@ -152,10 +154,15 @@ func fuzzScheme(algoIn uint8, d, loops int, seed int64) (core.Balancer, int, boo
 // flat distributor's (base, mask) pairs pushed through the engine's mask
 // decoder — to the per-node engine, round by round, on fuzzed degrees
 // d = 1–63 (every decoder row shape and tail length), self-loop counts,
-// graph seeds and loads. algoIn picks the scheme as in FuzzFlatMatchesPerNode;
+// graph seeds and loads. Each load is a fuzzed common offset plus the node's
+// own fuzzed deviation, and the engines run pushRounds rounds, so most
+// nodes of a late round — and of an early one when the deviations are
+// small — share the base the push shifts every send by, and walk only
+// their mask bits. algoIn picks the scheme as in FuzzFlatMatchesPerNode;
 // the seed corpus under testdata/fuzz covers each of them.
 func FuzzPushMatchesPerNode(f *testing.F) {
-	f.Fuzz(func(t *testing.T, algoIn, dIn, loopsIn uint8, seed int64, loads []byte) {
+	const pushRounds = 32
+	f.Fuzz(func(t *testing.T, algoIn, dIn, loopsIn uint8, seed int64, loads []byte, offset int32) {
 		d := 1 + int(dIn)%63
 		// d⁺ ≤ 64 keeps the rotor-router flat.
 		algo, loops, negative := fuzzScheme(algoIn, d, int(loopsIn)%(65-d), seed)
@@ -164,15 +171,19 @@ func FuzzPushMatchesPerNode(f *testing.F) {
 			g = graph.RandomRegular(2*d+2, d, seed) // 2d+2 is even, so n·d is too
 		}
 		b := graph.WithLoops(g, loops)
+		level := int64(offset)
+		if level < 0 && !negative {
+			level = -level
+		}
 		x1 := make([]int64, b.N())
 		for u := range x1 {
-			x1[u] = fuzzLoad(loads, u, negative)
+			x1[u] = level + fuzzLoad(loads, u, negative)
 		}
 		flat := core.MustEngine(b, algo, x1)
 		// Embedding only the Balancer interface hides BindFlat, so this
 		// engine binds per-node balancers and pushes per-arc sends.
 		perNode := core.MustEngine(b, struct{ core.Balancer }{algo}, x1)
-		for round := 1; round <= 6; round++ {
+		for round := 1; round <= pushRounds; round++ {
 			if err := flat.Step(); err != nil {
 				t.Fatal(err)
 			}

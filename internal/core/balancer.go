@@ -61,10 +61,11 @@ type Balancer interface {
 // take only two values, a per-node base q and q+1. A node's whole
 // distribution therefore compresses to the pair (q, mask) — mask bit i set
 // iff edge i receives the extra token. The engine decodes the pairs itself:
-// the serial engine pushes them straight onto the arcs' heads, reading a
-// mask a byte at a time through a 256-row table of per-arc extra tokens, and
-// only flow tracking, auditors, faults or a parallel round materialize the
-// per-arc sends array.
+// every chunk of a round pushes them straight onto the arcs' heads, each
+// node's base less one round-wide shift (see Engine). A node on the shift
+// walks only its set mask bits; any other reads its mask a byte at a time
+// through a 256-row table of per-arc extra tokens. Only flow tracking,
+// auditors and faults materialize the per-arc sends array.
 //
 // DistributeRange must, for every node u in [lo, hi), write
 //
@@ -74,6 +75,8 @@ type Balancer interface {
 //
 // such that q(u) + bit_i(mask) equals exactly what u's
 // NodeBalancer.Distribute(x[u], sends, nil) would have written to sends[i].
+// Mask bits lie below d, the number of original edges: a bit at or above d
+// names no edge, and the push of a node on the round's shift panics on it.
 // The base and mask are interleaved in one array so the apply phase touches
 // a single cache line per source node. The engine guarantees ranges never
 // overlap across concurrent calls. Implementations must be deterministic:

@@ -23,6 +23,14 @@ import (
 // allocated at construction (a lent helper's accumulator when it first
 // attaches); Step performs zero allocations.
 //
+// Shift: the bulk path pushes each node's sends straight from its (base,
+// mask) pair, less one round-wide shift B. Every node pushes base − B over
+// its arcs plus its mask bits, then adds d·B to its own inflow once. The
+// graph is d-regular and symmetric, so every node has exactly d in-arcs and
+// its inflow is the same integer sum for every B, under int64 wrap-around
+// too. B is node 0's base of the last round. Once the loads have converged
+// nearly every node's base is B, so a round moves only its extra tokens.
+//
 // Scheduling: each round picks its own width. The serial round distributes
 // [0, n) and pushes straight into next. A round of width w splits the nodes
 // into w chunks; the stepping goroutine runs chunk 0 and a helper runs each
@@ -52,6 +60,10 @@ type Engine struct {
 	bulk        RangeDistributor
 	bp          []int64
 	expandSends bool
+	// shift is the round's shift B (see Shift above), read by Step before
+	// the round's chunks overwrite bp. It changes the push's speed, never a
+	// load.
+	shift int64
 
 	x    []int64 // current loads, x_{t} at the start of round t+1 (0-based storage)
 	next []int64 // x_{t+1} under construction during a round
@@ -95,12 +107,15 @@ type Engine struct {
 // lendCost is the n·d⁺ from which an engine takes a lent helper. Ten
 // alternating runs of width-1 and width-2 Steps from uniform random loads
 // on lazy random 8-regular graphs, 2-CPU host (medians): n = 1024
-// (n·d⁺ = 16384) rotor-router 25.4 → 19.6 µs and send-floor 18.1 →
-// 14.1 µs, width 2 faster in 10/10 runs each; n = 512 (8192) rotor-router
-// 13.8 → 10.7 µs and send-floor 9.6 → 7.9 µs, faster in only 8/10. So the
-// cold expander family's cells (n·d⁺ ≤ 8192) stay serial. Larger graphs
-// gain more: three runs read hypercube:11 (45056) rotor-router 67.7 →
-// 48.4 µs and n = 4096 (65536) 129 → 86 µs.
+// (n·d⁺ = 16384) rotor-router 17.2 → 12.7 µs, width 2 faster in 10/10
+// runs, but send-floor 8.8 → 8.3 µs, faster in only 6/10; n = 512 (8192)
+// rotor-router 9.5 → 7.7 µs (10/10) but send-floor 3.2 → 4.4 µs, slower
+// in 10/10. A converged send-floor round pushes nothing (see Shift), so
+// its crossover lies above n = 1024 and the rotor-router's below n = 512;
+// no n·d⁺ splits both 10/10, so the cold expander family's cells
+// (n·d⁺ ≤ 8192) stay serial. Larger graphs gain more, 10/10 each:
+// hypercube:11 (45056) rotor-router 39.2 → 27.6 µs and send-floor 14.0 →
+// 11.8 µs, hypercube:12 (98304) 72.8 → 54.6 µs and 30.7 → 21.3 µs.
 const lendCost = 1 << 14
 
 // Option configures an Engine.
@@ -437,13 +452,22 @@ func (e *Engine) distributePhase(kept []int64, lo, hi int) {
 // dst, in one linear sweep of the adjacency: the random accesses hit the
 // n-word dst rather than the n·d-word sends array. It pushes straight from
 // the compressed (base, mask) pairs when per-arc sends were never
-// materialized; with auditors, flow tracking or faults the distribute phase
-// has materialized (and masked) them, and the per-arc push runs instead.
+// materialized: each node's offset from the round's shift B over its arcs,
+// then d·B onto each of the chunk's own nodes, which stands for the B every
+// one of its d in-arcs left out. With auditors, flow tracking or faults the
+// distribute phase has materialized (and masked) the sends, and the per-arc
+// push runs instead.
 func (e *Engine) push(dst []int64, lo, hi int) {
 	d := e.d
 	heads := e.heads[lo*d : hi*d]
 	if e.bulk != nil && !e.expandSends && !e.faulted() {
-		pushExtra(dst, heads, e.bp[2*lo:2*hi], d)
+		pushExtra(dst, heads, e.bp[2*lo:2*hi], d, e.shift)
+		if dB := int64(d) * e.shift; dB != 0 {
+			own := dst[lo:hi]
+			for i := range own {
+				own[i] += dB
+			}
+		}
 		return
 	}
 	sends := e.sendsFlat[lo*d : hi*d]
@@ -483,8 +507,9 @@ func (e *Engine) phase2(c, lo, hi int) {
 
 // extraBits[b][i] is bit i of the byte b as a token count. One byte of an
 // extra-token mask thus selects the row of extra tokens for eight
-// consecutive arcs: pushExtra walks a mask a byte at a time with no per-arc
-// shift, and a degree tail shorter than eight reads the same row.
+// consecutive arcs: pushExtra walks the mask of a node off the shift a byte
+// at a time with no per-arc shift, and a degree tail shorter than eight
+// reads the same row.
 var extraBits = func() (t [256][8]int8) {
 	for b := range t {
 		for i := range t[b] {
@@ -494,17 +519,27 @@ var extraBits = func() (t [256][8]int8) {
 	return t
 }()
 
-// pushExtra adds every node's sends, compressed as the (base, mask) pairs of
-// bp, onto the heads of its d out-arcs in dst: arc i of node u carries
-// base + bit_i(mask). A zero mask (every send-floor and send-round node)
-// takes a plain base-only loop.
+// pushExtra adds every node's sends less shift, compressed as the (base,
+// mask) pairs of bp, onto the heads of its d out-arcs in dst: arc i of node
+// u carries base − shift + bit_i(mask). A node whose base is the shift — in
+// a converged round almost every node — walks only its set mask bits, so a
+// zero mask pushes nothing. Any other node with a zero mask (send-floor and
+// send-round) takes a plain base-only loop, and the rest the byte table. A
+// mask bit at or above d breaks the RangeDistributor contract and indexes
+// past the node's arcs.
 //
 //detcheck:noalloc
-func pushExtra(dst []int64, heads []int32, bp []int64, d int) {
+func pushExtra(dst []int64, heads []int32, bp []int64, d int, shift int64) {
 	for ; len(bp) >= 2; bp = bp[2:] {
-		base, m := bp[0], uint64(bp[1])
+		base, m := bp[0]-shift, uint64(bp[1])
 		hu := heads[:d:d]
 		heads = heads[d:]
+		if base == 0 {
+			for ; m != 0; m &= m - 1 {
+				dst[hu[bits.TrailingZeros64(m)]]++
+			}
+			continue
+		}
 		if m == 0 {
 			for _, h := range hu {
 				dst[h] += base
@@ -537,6 +572,10 @@ func (e *Engine) Step() error {
 	e.round++
 	if obs, ok := e.algo.(RoundObserver); ok {
 		obs.BeginRound(e.round, e.x)
+	}
+
+	if e.bulk != nil {
+		e.shift = e.bp[0]
 	}
 
 	// The round's width: the engine's own helpers, or a lent one while the

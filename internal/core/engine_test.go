@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -285,39 +286,53 @@ func TestExtraBitsRows(t *testing.T) {
 }
 
 // TestPushExtraMatchesBits holds pushExtra to a per-bit reference at every
-// degree the mask covers, including the full-row (d = 8, 16, …, 64) and
-// tail-only (d < 8) shapes, on random masks of d bits, random bases and a
-// zero mask. The distribute phase's per-arc expansion is held to the per-node
-// path by the determinism tests at widths 2 and 8 and with auditors.
+// degree the mask covers, including the full-row (d = 8, 16, …, 64),
+// row-and-tail (d = 12) and tail-only (d < 8) shapes, on random masks of d
+// bits, random bases, zero masks and a full mask. Every node heads exactly d
+// arcs, as on every graph, so for each shift B — zero, the modal base, a
+// base no node has, a negative one and one that wraps every offset —
+// pushExtra(B) plus d·B per node must equal the reference. The distribute
+// phase's per-arc expansion is held to the per-node path by the determinism
+// tests at widths 2 and 8 and with auditors.
 func TestPushExtraMatchesBits(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	const n = 7
+	const n, modal = 7, 37
 	for d := 1; d <= 64; d++ {
+		full := ^uint64(0) >> uint(64-d)
 		bp := make([]int64, 2*n)
-		heads := make([]int32, n*d)
 		for u := 0; u < n; u++ {
 			bp[2*u] = rng.Int64N(2001) - 1000
-			if u != 3 { // node 3 keeps a zero mask: the base-only loop
-				m := rng.Uint64()
-				if d < 64 {
-					m &= 1<<uint(d) - 1
-				}
-				bp[2*u+1] = int64(m)
+			if u%2 == 0 { // nodes 0, 2, 4 and 6 share the modal base
+				bp[2*u] = modal
+			}
+			switch u {
+			case 3, 4: // zero masks: the base-only loop, and on the shift no push
+			case 6:
+				bp[2*u+1] = int64(full)
+			default:
+				bp[2*u+1] = int64(rng.Uint64() & full)
 			}
 		}
+		heads := make([]int32, n*d)
 		for p := range heads {
-			heads[p] = int32(rng.IntN(n))
+			heads[p] = int32(p % n)
 		}
+		rng.Shuffle(len(heads), func(i, j int) { heads[i], heads[j] = heads[j], heads[i] })
 		want := make([]int64, n)
 		for u := 0; u < n; u++ {
 			for i := 0; i < d; i++ {
 				want[heads[u*d+i]] += bp[2*u] + int64(uint64(bp[2*u+1])>>uint(i)&1)
 			}
 		}
-		got := make([]int64, n)
-		pushExtra(got, heads, bp, d)
-		if !slices.Equal(got, want) {
-			t.Fatalf("d=%d: pushExtra = %v, want %v", d, got, want)
+		for _, shift := range []int64{0, modal, 5000, -977, math.MinInt64} {
+			got := make([]int64, n)
+			pushExtra(got, heads, bp, d, shift)
+			for v := range got {
+				got[v] += int64(d) * shift
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("d=%d shift=%d: pushExtra + d·shift = %v, want %v", d, shift, got, want)
+			}
 		}
 	}
 }

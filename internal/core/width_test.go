@@ -83,14 +83,17 @@ func widthEngine(t testing.TB, kind int, b *graph.Balancing, x []int64, fail [][
 // FuzzWidthScheduleMatchesSerial steps an engine whose width changes every
 // round — a fuzzed schedule of widths 1 to 4 — against a serial engine and
 // requires identical loads, cumulative flows and per-arc sends after every
-// round, for every engine kind.
+// round, for every engine kind, and the serial engine to conserve its
+// tokens. Every load is a fuzzed level plus a per-node deviation below
+// spread+1, so a small spread starts the engines near-uniform and chunked
+// rounds push mostly nodes on the round's shift.
 func FuzzWidthScheduleMatchesSerial(f *testing.F) {
-	f.Add(uint8(0), uint8(40), uint8(6), uint8(3), int64(1), []byte{2, 1, 4, 3, 2, 2, 1, 4})
-	f.Add(uint8(1), uint8(33), uint8(9), uint8(0), int64(2), []byte{4, 4, 1, 2})
-	f.Add(uint8(2), uint8(64), uint8(12), uint8(12), int64(3), []byte{3, 1, 2})
-	f.Add(uint8(3), uint8(18), uint8(5), uint8(2), int64(4), []byte{2, 3, 4, 1, 1, 2})
-	f.Add(uint8(4), uint8(50), uint8(8), uint8(1), int64(5), []byte{1, 2, 3, 4, 2})
-	f.Fuzz(func(t *testing.T, kindRaw, nRaw, dRaw, loopsRaw uint8, seed int64, schedule []byte) {
+	f.Add(uint8(0), uint8(40), uint8(6), uint8(3), int64(1), []byte{2, 1, 4, 3, 2, 2, 1, 4}, int32(0), uint16(65535))
+	f.Add(uint8(1), uint8(33), uint8(9), uint8(0), int64(2), []byte{4, 4, 1, 2}, int32(0), uint16(65535))
+	f.Add(uint8(2), uint8(64), uint8(12), uint8(12), int64(3), []byte{3, 1, 2}, int32(0), uint16(65535))
+	f.Add(uint8(3), uint8(18), uint8(5), uint8(2), int64(4), []byte{2, 3, 4, 1, 1, 2}, int32(0), uint16(65535))
+	f.Add(uint8(4), uint8(50), uint8(8), uint8(1), int64(5), []byte{1, 2, 3, 4, 2}, int32(0), uint16(65535))
+	f.Fuzz(func(t *testing.T, kindRaw, nRaw, dRaw, loopsRaw uint8, seed int64, schedule []byte, level int32, spread uint16) {
 		if len(schedule) == 0 || len(schedule) > 64 {
 			return
 		}
@@ -105,8 +108,11 @@ func FuzzWidthScheduleMatchesSerial(f *testing.F) {
 			t.Skip(err)
 		}
 		x := make([]int64, n)
+		var total int64
 		for u := range x {
-			x[u] = (seed>>(u%32)&0xff)*int64(u+1)%4099 + int64(u%5)
+			dev := (seed>>(u%32)&0xff)*int64(u+1)%4099 + int64(u%5)
+			x[u] = int64(level) + dev%(int64(spread)+1)
+			total += x[u]
 		}
 		fail := [][2]int{{0, int(g.Heads()[0])}, {n - 1, int(g.Heads()[(n-1)*d])}}
 
@@ -124,6 +130,9 @@ func FuzzWidthScheduleMatchesSerial(f *testing.F) {
 			}
 			if err := wide.Step(); err != nil {
 				t.Fatalf("round %d at width %d: %v", r+1, wide.width(), err)
+			}
+			if got := want.TotalLoad(); got != total {
+				t.Fatalf("round %d: serial engine holds %d tokens, want %d", r+1, got, total)
 			}
 			if !slices.Equal(wide.Loads(), want.Loads()) {
 				t.Fatalf("round %d at width %d: loads %v, want %v", r+1, int(w%4)+1, wide.Loads(), want.Loads())
